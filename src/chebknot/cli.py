@@ -22,7 +22,7 @@ from .diagram import minimal_diagram
 from .errors import ChebknotError, TrivialKnot
 from .harmonic import HarmonicSpec, classify
 from .heights import parametrization
-from .oracle import measure_crossings, recover_knot, verify_parametrization
+from .oracle import measure_crossings, recover_knot, reproduces
 from .svg import render_diagram_svg
 
 
@@ -173,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
     p = parametrization(frac)
     sample = measure_crossings(3, p.b, p.height)
     recovered = recover_knot(sample)
-    ok = verify_parametrization(frac, p)
+    ok = reproduces(frac, recovered)
     payload = sample.to_report()
     payload.update(
         {

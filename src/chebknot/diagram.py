@@ -38,6 +38,14 @@ def parameter_value(m: int, denom: int) -> float:
     return -math.cos((denom - m) * math.pi / denom)
 
 
+def x_key(a: int, b: int, h: int, k: int) -> int:
+    """Integer nu with x = cos(nu*pi/b) at the crossing with indices (h, k)."""
+    mu = (a * h) % (2 * b)
+    if mu > b:
+        mu = 2 * b - mu
+    return b - mu if k % 2 else mu
+
+
 def xy_derivative_sign(a: int, b: int, h: int, k: int) -> int:
     """Exact sign of x'(t) y'(t) at the crossing with indices (h, k)."""
     s = sin_sign(a * h, b) * sin_sign(b * k, a)
@@ -79,10 +87,7 @@ class CrossingPoint:
     @property
     def x_key(self) -> int:
         """Integer nu with x = cos(nu*pi/b); increasing nu is decreasing x."""
-        mu = (self.a * self.h) % (2 * self.b)
-        if mu > self.b:
-            mu = 2 * self.b - mu
-        return self.b - mu if self.k % 2 else mu
+        return x_key(self.a, self.b, self.h, self.k)
 
     @property
     def row(self) -> int:
@@ -95,26 +100,45 @@ class CrossingPoint:
         return xy_derivative_sign(self.a, self.b, self.h, self.k)
 
 
-def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
-    """All (a-1)(b-1)/2 crossings of the curve, sorted by decreasing x."""
+# One crossing as plain data: (h, k, m_t, m_s, t, s, xy_sign), with
+# t = cos(m_t*pi/(a*b)), s = cos(m_s*pi/(a*b)) and xy_sign the exact sign
+# of x'(t) y'(t); the CrossingPoint properties of the same name agree.
+CrossingRow = tuple[int, int, int, int, float, float, int]
+
+
+def crossing_table(a: int, b: int) -> list[CrossingRow]:
+    """All (a-1)(b-1)/2 crossings of the curve as rows, by decreasing x.
+
+    Rows are stable-sorted on the integer x_key alone; for a >= 4 keys
+    tie and keep their (k, h) generation order.
+    """
     if a < 2 or b < 2:
         raise ChebknotError("degrees must be >= 2")
     if gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
-    raw = []
+    ab = a * b
+    keyed: list[tuple[int, CrossingRow]] = []
     for k in range(1, a):
-        h = 1
-        while k * b + a * h < a * b:
-            raw.append((k, h))
-            h += 1
-    points = [CrossingPoint(a, b, h, k, 0) for (k, h) in raw]
-    points.sort(key=lambda p: p.x_key)
-    points = [
-        CrossingPoint(a, b, p.h, p.k, i) for i, p in enumerate(points)
-    ]
-    if len(points) != (a - 1) * (b - 1) // 2:
+        for h in range(1, (ab - k * b - 1) // a + 1):  # k*b + a*h < a*b
+            m_t, m_s = k * b + a * h, abs(k * b - a * h)
+            row = (
+                h, k, m_t, m_s,
+                parameter_value(m_t, ab), parameter_value(m_s, ab),
+                xy_derivative_sign(a, b, h, k),
+            )
+            keyed.append((x_key(a, b, h, k), row))
+    if len(keyed) != (a - 1) * (b - 1) // 2:
         raise ChebknotError("crossing count mismatch")
-    return points
+    keyed.sort(key=lambda e: e[0])
+    return [row for _, row in keyed]
+
+
+def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
+    """All (a-1)(b-1)/2 crossings of the curve, sorted by decreasing x."""
+    return [
+        CrossingPoint(a, b, row[0], row[1], i)
+        for i, row in enumerate(crossing_table(a, b))
+    ]
 
 
 @dataclass(frozen=True)

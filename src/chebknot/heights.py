@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contfrac import Fraction, crossing_number
-from .diagram import ConwayForm, MinimalDiagram, enumerate_crossings, minimal_diagram
+from .diagram import ConwayForm, MinimalDiagram, crossing_table, minimal_diagram
 from .errors import ChebknotError, EmptySequence, IsLink
 
 
@@ -44,15 +44,19 @@ def gauss_sequence(form: ConwayForm) -> GaussSequence:
     of z(t) - z(s) at that crossing through the right-twist criterion
     D = (z(t) - z(s)) x'(t) y'(t) > 0.
     """
-    crossings = enumerate_crossings(3, form.b)
-    keyed: list[tuple[int, float, int]] = []
-    for i, c in enumerate(crossings):
+    b = form.b
+    # Every m in 1..3b-1 that neither 3 nor b divides is the m_t or m_s of
+    # exactly one crossing, so the events are placed by m with no sort.
+    slots: list = [None] * (3 * b)
+    for i, (_, _, m_t, m_s, t, s, xy) in enumerate(crossing_table(3, b)):
         d = form.signs[i] if i % 2 == 0 else -form.signs[i]
-        zdiff = d * c.xy_sign
-        keyed.append((c.m_t, c.t, zdiff))
-        keyed.append((c.m_s, c.s, -zdiff))
-    keyed.sort(key=lambda e: e[0])  # increasing m is decreasing parameter
-    return GaussSequence(tuple((p, g) for _, p, g in keyed))
+        zdiff = d * xy
+        slots[m_t] = (t, zdiff)
+        slots[m_s] = (s, -zdiff)
+    events = tuple(e for e in slots if e is not None)  # increasing m: decreasing parameter
+    if len(events) != 2 * (b - 1):
+        raise ChebknotError("crossing parameters are not distinct")
+    return GaussSequence(events)
 
 
 def count_sign_changes(g: GaussSequence) -> int:
@@ -124,9 +128,9 @@ def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomi
     ]
     poly = HeightPolynomial(tuple(roots), events[0][1])
     if amphicheiral:
-        params = g.parameters
+        params, signs = g.parameters, g.signs
         odd = all(
-            params[i] == -params[-1 - i] and g.signs[i] == -g.signs[-1 - i]
+            params[i] == -params[-1 - i] and signs[i] == -signs[-1 - i]
             for i in range(len(params))
         )
         if not (odd and poly.is_odd_symmetric):

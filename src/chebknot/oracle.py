@@ -9,17 +9,16 @@ by a separation floor.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable
 
 from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
 from .contfrac import eval_cf_projective, Fraction
-from .diagram import enumerate_crossings
-from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge
+from .diagram import crossing_table
+from .errors import AmbiguousCrossing, NotTwoBridge, TrivialKnot
 from .heights import Parametrization
-from .trig import sin_sign
+from .trig import chebyshev, sin_sign
 
 SEPARATION_FLOOR_ENV = "CHEBKNOT_SEPARATION_FLOOR"
 DEFAULT_SEPARATION_FLOOR = 1e-9
@@ -40,7 +39,7 @@ class ChebyshevHeight:
     sign: int = 1
 
     def __call__(self, t: float) -> float:
-        return self.sign * math.cos(self.c * math.acos(max(-1.0, min(1.0, t))))
+        return self.sign * chebyshev(self.c, t)
 
     def zdiff_sign(self, a: int, b: int, h: int, k: int) -> int:
         # T_c(t) - T_c(s) = -2 sin(c*h*pi/b) sin(c*k*pi/a)
@@ -113,30 +112,28 @@ def measure_crossings(
     (-1)^(i+1) * sign(D) with D = (z(t) - z(s)) x'(t) y'(t).
     """
     floor = _resolve_floor(floor)
-    points = enumerate_crossings(a, b)
+    exact = isinstance(z, ChebyshevHeight)
     measured = []
-    for i, p in enumerate(points):
-        zt, zs = z(p.t), z(p.s)
+    for i, (h, k, _, _, t, s, xy) in enumerate(crossing_table(a, b)):
+        zt, zs = z(t), z(s)
         separation = abs(zt - zs)
-        if isinstance(z, ChebyshevHeight):
-            zdiff = z.zdiff_sign(a, b, p.h, p.k)
+        if exact:
+            zdiff = z.zdiff_sign(a, b, h, k)
             if zdiff == 0:
                 raise AmbiguousCrossing(
-                    f"height degree shares a factor with ({a}, {b}) at crossing {(p.h, p.k)}"
+                    f"height degree shares a factor with ({a}, {b}) at crossing {(h, k)}"
                 )
         else:
             if separation < floor:
                 raise AmbiguousCrossing(
                     f"|z(t)-z(s)| = {separation:.3e} below floor {floor:.3e} "
-                    f"at crossing {(p.h, p.k)}"
+                    f"at crossing {(h, k)}"
                 )
             zdiff = 1 if zt > zs else -1
-        d = zdiff * p.xy_sign
+        d = zdiff * xy
         conway = d if i % 2 == 0 else -d
-        measured.append(
-            MeasuredCrossing(p.h, p.k, p.t, p.s, zdiff, p.xy_sign, d, conway, separation)
-        )
-    label = z.label() if isinstance(z, ChebyshevHeight) else getattr(z, "__name__", "z")
+        measured.append(MeasuredCrossing(h, k, t, s, zdiff, xy, d, conway, separation))
+    label = z.label() if exact else getattr(z, "__name__", "z")
     return CurveSample(a, b, label, tuple(measured))
 
 
@@ -151,11 +148,17 @@ def recover_knot(sample: CurveSample) -> TwoBridgeKnot:
         raise NotTwoBridge("diagram recovery requires a = 3")
     p, q = eval_cf_projective(sample.conway_signs)
     if q == 0 or abs(p) <= 1:
-        raise ChebknotError(
-            f"measured signs evaluate to the degenerate point ({p}, {q})"
+        raise TrivialKnot(
+            f"measured signs evaluate to the degenerate point ({p}, {q}): the unknot"
         )
     frac = Fraction(p, q)
     return canonicalize(frac.num, frac.den)
+
+
+def reproduces(r: Fraction, recovered: TwoBridgeKnot) -> bool:
+    """True when a recovered knot is S(r) itself, not merely its mirror."""
+    expected = canonicalize(r.num, r.den)
+    return equivalent(recovered, expected) is Equivalence.SAME
 
 
 def verify_parametrization(
@@ -170,6 +173,4 @@ def verify_parametrization(
     equivalent fraction), so the recovered knot must compare as the same.
     """
     sample = measure_crossings(3, p.b, p.height, floor=floor)
-    recovered = recover_knot(sample)
-    expected = canonicalize(r.num, r.den)
-    return equivalent(recovered, expected) is Equivalence.SAME
+    return reproduces(r, recover_knot(sample))

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 from .diagram import ConwayForm
 from .heights import gauss_sequence
-
-
-def _chebyshev(n: int, t: float) -> float:
-    return math.cos(n * math.acos(max(-1.0, min(1.0, t))))
+from .trig import chebyshev
 
 
 def render_diagram_svg(
@@ -46,7 +41,7 @@ def render_diagram_svg(
                 segments.append(current)
             current = []
             continue
-        current.append(to_px(_chebyshev(3, t), _chebyshev(b, t)))
+        current.append(to_px(chebyshev(3, t), chebyshev(b, t)))
     if len(current) > 1:
         segments.append(current)
 

@@ -12,7 +12,9 @@ from chebknot.bridge import canonicalize, stevedore_fraction, torus_fraction, tw
 from chebknot.contfrac import Fraction, eval_cf, expansion_length, regular_expansion
 from chebknot.diagram import (
     ConwayForm,
+    CrossingPoint,
     conway_reversal_check,
+    crossing_table,
     enumerate_crossings,
     is_minimal_by_word,
     minimal_diagram,
@@ -77,6 +79,26 @@ def test_crossing_parameters_and_rows():
             y = math.cos(b * math.acos(p.t))
             assert math.isclose(abs(y), 0.5, abs_tol=1e-9)
             assert p.row == (1 if y > 0 else -1)
+
+
+def _reference_rows(a: int, b: int) -> list[tuple]:
+    """Crossing rows from the CrossingPoint properties, sorted by x_key."""
+    points = [
+        CrossingPoint(a, b, h, k, 0)
+        for k in range(1, a)
+        for h in range(1, b)
+        if k * b + a * h < a * b
+    ]
+    points.sort(key=lambda p: p.x_key)
+    return [(p.h, p.k, p.m_t, p.m_s, p.t, p.s, p.xy_sign) for p in points]
+
+
+def test_crossing_table_equals_crossing_point_properties():
+    for a in (3, 4, 5, 7):
+        for b in range(2, 200):
+            if gcd(a, b) != 1:
+                continue
+            assert crossing_table(a, b) == _reference_rows(a, b), (a, b)
 
 
 def _chebyshev_derivative(n: int, t: float) -> float:

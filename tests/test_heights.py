@@ -7,8 +7,9 @@ from math import gcd
 import pytest
 
 from conftest import fractions_with_crossing_number_up_to
+from chebknot.bridge import fibonacci_fraction
 from chebknot.contfrac import Fraction
-from chebknot.diagram import ConwayForm, minimal_diagram
+from chebknot.diagram import ConwayForm, enumerate_crossings, minimal_diagram
 from chebknot.errors import EmptySequence, IsLink, NotGreaterThanOne
 from chebknot.heights import (
     GaussSequence,
@@ -59,6 +60,25 @@ def test_single_crossing_degenerate_diagram():
     g = gauss_sequence(form)
     assert len(g) == 2
     assert g.signs[0] == -g.signs[1]
+
+
+def _sorted_gauss_events(form: ConwayForm) -> tuple:
+    """Gauss events from the CrossingPoint properties, sorted by m."""
+    keyed = []
+    for i, c in enumerate(enumerate_crossings(3, form.b)):
+        d = form.signs[i] if i % 2 == 0 else -form.signs[i]
+        keyed.append((c.m_t, c.t, d * c.xy_sign))
+        keyed.append((c.m_s, c.s, -d * c.xy_sign))
+    keyed.sort(key=lambda e: e[0])
+    return tuple((p, g) for _, p, g in keyed)
+
+
+def test_gauss_sequence_equals_sorted_reference():
+    for alpha, beta, _ in fractions_with_crossing_number_up_to(12):
+        if alpha % 2 == 0:
+            continue
+        form = minimal_diagram(Fraction(alpha, beta)).form
+        assert gauss_sequence(form).events == _sorted_gauss_events(form), (alpha, beta)
 
 
 def test_count_sign_changes_basics():
@@ -171,6 +191,15 @@ def test_amphicheiral_oddness_sweep():
             assert (0.0 in p.height.roots) == (p.height.degree % 2 == 1)
             found += 1
     assert found > 10
+
+
+def test_amphicheiral_oddness_large():
+    r = fibonacci_fraction(1201)  # F_1201/F_1200, N = 1200
+    assert (r.den * r.den + 1) % r.num == 0
+    p = parametrization(r)
+    assert p.crossing_number == 1200
+    assert p.b % 2 == 1
+    assert p.height.is_odd_symmetric
 
 
 def test_factored_text():

@@ -10,7 +10,7 @@ import pytest
 from conftest import fractions_with_crossing_number_up_to
 from chebknot.bridge import Equivalence, canonicalize, equivalent
 from chebknot.contfrac import Fraction
-from chebknot.errors import AmbiguousCrossing, NotTwoBridge
+from chebknot.errors import AmbiguousCrossing, NotTwoBridge, TrivialKnot
 from chebknot.harmonic import (
     classify,
     crossing_sign_closed_form,
@@ -22,6 +22,7 @@ from chebknot.oracle import (
     ChebyshevHeight,
     measure_crossings,
     recover_knot,
+    reproduces,
     verify_parametrization,
 )
 
@@ -158,6 +159,20 @@ def test_verify_sweep_small():
             continue
         r = Fraction(alpha, beta)
         assert verify_parametrization(r, parametrization(r))
+
+
+def test_reproduces_tells_a_knot_from_its_mirror():
+    r = Fraction(3, 1)
+    assert reproduces(r, canonicalize(3, 1))
+    assert reproduces(r, canonicalize(3, -2))  # 3/-2 is 3/1: beta' = beta mod alpha
+    assert not reproduces(r, canonicalize(3, -1))
+
+
+def test_measured_unknot_is_trivial_knot():
+    with pytest.raises(TrivialKnot):
+        classify(HarmonicSpec(3, 2, 5))
+    with pytest.raises(TrivialKnot):
+        recover_knot(measure_crossings(3, 2, ChebyshevHeight(5)))
 
 
 def test_measured_form_round_trips_the_emitted_form():
