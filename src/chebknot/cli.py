@@ -111,60 +111,34 @@ def _cmd_param(args: argparse.Namespace) -> None:
 def _cmd_harmonic(args: argparse.Namespace) -> None:
     spec = HarmonicSpec(args.a, args.b, args.c)
     canon = classify(spec)
-    payload = {
-        "a": 3,
-        "b": args.b,
-        "c": args.c,
-        "b_canon": canon.b_prime,
-        "c_canon": canon.c_prime,
-        "mirror": canon.mirror,
-        "alpha": canon.fraction.num,
-        "beta": canon.fraction.den,
-        "N": canon.crossing_number,
-        "amphicheiral": canon.amphicheiral,
-    }
     text = (
         f"H(3,{args.b},{args.c}) -> canonical ({canon.b_prime},{canon.c_prime})"
         f"  N={canon.crossing_number}  fraction={canon.fraction}"
         f"  mirror={str(canon.mirror).lower()}"
         f"  amphicheiral={str(canon.amphicheiral).lower()}"
     )
-    _emit(args, text, payload)
+    _emit(args, text, canon.to_json())
 
 
 def _cmd_atlas(args: argparse.Namespace) -> None:
-    records = []
-    for b in range(2, args.b_max + 1):
-        if b % 3 == 0:
-            continue
-        for c in range(2, args.c_max + 1):
-            if c % 3 == 0 or gcd(b, c) != 1:
-                continue
-            try:
-                canon = classify(HarmonicSpec(3, b, c))
-            except TrivialKnot:
-                continue
-            records.append(
-                {
-                    "a": 3,
-                    "b": b,
-                    "c": c,
-                    "b_canon": canon.b_prime,
-                    "c_canon": canon.c_prime,
-                    "mirror": canon.mirror,
-                    "alpha": canon.fraction.num,
-                    "beta": canon.fraction.den,
-                    "N": canon.crossing_number,
-                    "amphicheiral": canon.amphicheiral,
-                }
-            )
+    records = 0
     with open(args.out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+        for b in range(2, args.b_max + 1):
+            if b % 3 == 0:
+                continue
+            for c in range(2, args.c_max + 1):
+                if c % 3 == 0 or gcd(b, c) != 1:
+                    continue
+                try:
+                    canon = classify(HarmonicSpec(3, b, c))
+                except TrivialKnot:
+                    continue
+                fh.write(json.dumps(canon.to_json()) + "\n")
+                records += 1
     _emit(
         args,
-        f"wrote {len(records)} records to {args.out}",
-        {"records": len(records), "out": args.out},
+        f"wrote {records} records to {args.out}",
+        {"records": records, "out": args.out},
     )
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .contfrac import Fraction, crossing_number, eval_cf, pm_word, regular_expansion
+from .contfrac import _validate_one_regular
 from .errors import (
     ChebknotError,
     InvalidForm,
@@ -26,6 +27,7 @@ from .errors import (
     LengthMismatch,
     NotCoprime,
     NotGreaterThanOne,
+    NotOneRegular,
     NotPGPForm,
 )
 from .trig import cos_sign, sin_sign
@@ -154,15 +156,10 @@ class ConwayForm:
             raise InvalidForm(f"b = {self.b} is not a valid diagram degree")
         if len(self.signs) != self.b - 1:
             raise InvalidForm("need exactly b - 1 signs")
-        if any(s not in (1, -1) for s in self.signs):
-            raise InvalidForm("signs must all be +1 or -1")
-        t = self.signs
-        n = len(t)
-        if n >= 2 and t[-1] * t[-2] < 0:
-            raise InvalidForm("last two signs must agree")
-        for i in range(n - 2):
-            if t[i] * t[i + 1] < 0 and t[i + 1] * t[i + 2] < 0:
-                raise InvalidForm("two consecutive sign changes")
+        try:
+            _validate_one_regular(self.signs)
+        except NotOneRegular as exc:
+            raise InvalidForm(str(exc)) from exc
 
     def fraction(self) -> Fraction:
         return eval_cf(self.signs)

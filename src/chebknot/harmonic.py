@@ -104,21 +104,14 @@ def mirror_equivalent_c(a: int, b: int, c: int) -> int | None:
 
     The curve with height degree c' is the mirror image of the one with
     height degree c.  Returns None when no smaller such degree exists.
+    The moduli share only the factor 2, so c' is unique mod 2ab:
+    c' = r + 2a*t with r = c mod 2a and a*t = (-c - r)/2 mod b.
     """
     HarmonicSpec(a, b, c)  # validates pairwise coprimality
     base = c % (2 * a)
-    target = (-c) % (2 * b)
-    sol = None
-    for t in range(b):
-        cand = base + 2 * a * t
-        if cand % (2 * b) == target:
-            sol = cand % (2 * a * b)
-            if sol == 0:
-                sol = 2 * a * b
-            break
-    if sol is None:
-        return None
-    return sol if 0 < sol < c else None
+    t = (-c - base) // 2 * pow(a, -1, b) % b
+    sol = base + 2 * a * t or 2 * a * b
+    return sol if sol < c else None
 
 
 @dataclass(frozen=True)
@@ -134,6 +127,7 @@ class CanonicalHarmonic:
     mirror: bool
     fraction: Fraction
     crossing_number: int
+    spec: HarmonicSpec  # the input curve
 
     @property
     def amphicheiral(self) -> bool:
@@ -143,13 +137,30 @@ class CanonicalHarmonic:
     def conway_form(self) -> ConwayForm:
         return harmonic_conway(self.b_prime, (2 * self.b_prime - self.c_prime) // 3)
 
+    def to_json(self) -> dict:
+        return {
+            "a": self.spec.a,
+            "b": self.spec.b,
+            "c": self.spec.c,
+            "b_canon": self.b_prime,
+            "c_canon": self.c_prime,
+            "mirror": self.mirror,
+            "alpha": self.fraction.num,
+            "beta": self.fraction.den,
+            "N": self.crossing_number,
+            "amphicheiral": self.amphicheiral,
+        }
+
 
 def classify(spec: HarmonicSpec) -> CanonicalHarmonic:
     """Reduce (b, c) to the unique canonical pair b' < c' < 2b',
-    b' + c' = 0 mod 3, flipping the mirror parity at every step.
+    b' + c' = 0 mod 3, flipping the mirror parity at every move.
 
     Swapping b and c mirrors the curve; when b = c mod 3 the height degree
     drops to |2b - c|, and when c > 2b to |4b - c|, each a mirror image.
+    Runs of moves that leave the parity unchanged are taken in one
+    division, so the maximum of (b, c) falls by a factor 3/4 at least every
+    three rounds and the loop ends after O(log max(b, c)) rounds.
     """
     if spec.a != 3:
         raise ADifferentFrom3("classification is implemented for a = 3")
@@ -157,27 +168,36 @@ def classify(spec: HarmonicSpec) -> CanonicalHarmonic:
         raise NotCoprime(f"({spec.b}, {spec.c}) not admissible with a = 3")
     b, c = spec.b, spec.c
     mirror = False
-    for _ in range(10_000):
+    while True:
         if b == 1 or c == 1:
             raise TrivialKnot(f"H(3, {spec.b}, {spec.c}) is the unknot")
         if c < b:
             b, c = c, b
             mirror = not mirror
+        elif c >= 8 * b:
+            # The moves c - 2b and c - 4b alternate, in an order set by
+            # c mod 3: 6b in two flips, down to c in [2b, 8b).
+            c = 2 * b + (c - 2 * b) % (6 * b)
         elif b % 3 == c % 3:
-            c = abs(2 * b - c)
-            mirror = not mirror
+            if c < 2 * b:
+                # (b, c) -> (b, 2b - c) -> (2b - c, b) in two flips keeps
+                # d = c - b and takes d off b, while b > d.
+                d = c - b
+                b %= d
+                c = b + d
+            else:
+                c -= 2 * b
+                mirror = not mirror
         elif c > 2 * b:
             c = abs(4 * b - c)
             mirror = not mirror
         else:
             break
-    else:
-        raise ChebknotError("canonical reduction did not terminate")
     lam = (2 * b - c) // 3
     form = harmonic_conway(b, lam)
     frac = eval_cf(form.signs)
     n_cross = b - lam
-    result = CanonicalHarmonic(b, c, mirror, frac, n_cross)
+    result = CanonicalHarmonic(b, c, mirror, frac, n_cross, spec)
     if 3 * n_cross != b + c:
         raise ChebknotError("crossing number identity violated")
     return result

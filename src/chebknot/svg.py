@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .diagram import ConwayForm
 from .heights import gauss_sequence
 from .trig import chebyshev
@@ -18,13 +20,16 @@ def render_diagram_svg(
     b = form.b
     g = gauss_sequence(form)
     params = sorted(g.parameters)
-    under = [p for p, s in g.events if s < 0]
+    under = sorted(p for p, s in g.events if s < 0)
 
-    def gap_halfwidth(u: float) -> float:
-        others = [abs(u - p) for p in params if p != u]
-        return 0.38 * min(others) if others else 0.05
-
-    windows = [(u - gap_halfwidth(u), u + gap_halfwidth(u)) for u in under]
+    # Each gap is 0.38 of the distance to the nearest other parameter, so
+    # the windows are disjoint and, like under, increasing.
+    windows = []
+    for u in under:
+        lo, hi = bisect_left(params, u), bisect_right(params, u)
+        others = params[lo - 1 : lo] + params[hi : hi + 1]
+        half = 0.38 * min(abs(u - p) for p in others) if others else 0.05
+        windows.append((u - half, u + half))
 
     n = max(8, samples_per_lobe) * b
     span = size - 2 * margin
@@ -34,9 +39,12 @@ def render_diagram_svg(
 
     segments: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
+    w = 0  # first window not wholly left of t; t only grows
     for i in range(n + 1):
         t = -1.0 + 2.0 * i / n
-        if any(lo < t < hi for lo, hi in windows):
+        while w < len(windows) and windows[w][1] <= t:
+            w += 1
+        if w < len(windows) and windows[w][0] < t:
             if len(current) > 1:
                 segments.append(current)
             current = []

@@ -6,6 +6,7 @@ import json
 import xml.etree.ElementTree as ET
 
 from chebknot.cli import main
+from chebknot.harmonic import HarmonicSpec, classify
 
 
 def run(capsys, *argv):
@@ -167,3 +168,21 @@ def test_negative_beta_normalized(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["b"] == 8 and rec["signs"] == [1, 1, 1, -1, -1, -1, -1]
+
+
+def test_harmonic_json_is_the_canonical_record(capsys):
+    code, out, _ = run(capsys, "harmonic", "3", "8", "7", "--format", "json")
+    assert code == 0
+    assert out.strip() == json.dumps(classify(HarmonicSpec(3, 8, 7)).to_json())
+
+
+def test_atlas_records_are_the_canonical_json(tmp_path, capsys):
+    out_path = tmp_path / "atlas.ndjson"
+    code, out, _ = run(capsys, "atlas", "--b-max", "20", "--c-max", "20", "--out", str(out_path),
+                       "--format", "json")
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    assert json.loads(out) == {"records": len(lines), "out": str(out_path)}
+    for line in lines:
+        rec = json.loads(line)
+        assert line == json.dumps(classify(HarmonicSpec(3, rec["b"], rec["c"])).to_json())

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chebknot.bridge import canonicalize, equivalent, Equivalence
 from chebknot.contfrac import Fraction, eval_cf, fibonacci
@@ -26,6 +29,7 @@ from chebknot.harmonic import (
     is_harmonic_candidate,
     mirror_equivalent_c,
 )
+from chebknot.oracle import ChebyshevHeight, measure_crossings, recover_knot
 
 
 def test_harmonic_spec_validation():
@@ -263,3 +267,124 @@ def test_is_harmonic_candidate():
     assert is_harmonic_candidate(canonicalize(5, 2)) is True
     with pytest.raises(IsLink):
         is_harmonic_candidate(canonicalize(4, 1))
+
+
+# ---------------------------------------------------------------------------
+# Division-based reduction and CRT mirror degree against references
+# ---------------------------------------------------------------------------
+
+def _mirror_equivalent_c_search(a: int, b: int, c: int) -> int | None:
+    """The O(b) search that mirror_equivalent_c replaced, kept as a reference."""
+    base = c % (2 * a)
+    target = (-c) % (2 * b)
+    sol = None
+    for t in range(b):
+        cand = base + 2 * a * t
+        if cand % (2 * b) == target:
+            sol = cand % (2 * a * b)
+            if sol == 0:
+                sol = 2 * a * b
+            break
+    if sol is None:
+        return None
+    return sol if 0 < sol < c else None
+
+
+def test_mirror_equivalent_c_matches_search():
+    checked = 0
+    for a in range(1, 8):
+        for b in range(1, 121):
+            if gcd(a, b) != 1:
+                continue
+            for c in range(1, 121):
+                if gcd(a, c) != 1 or gcd(b, c) != 1:
+                    continue
+                assert mirror_equivalent_c(a, b, c) == _mirror_equivalent_c_search(a, b, c), (a, b, c)
+                checked += 1
+    assert checked > 30_000
+
+
+def _subtraction_reduction(b: int, c: int):
+    """One move per step, no cap: (b', c', mirror), or None for the unknot."""
+    mirror = False
+    while True:
+        if b == 1 or c == 1:
+            return None
+        if c < b:
+            b, c = c, b
+        elif b % 3 == c % 3:
+            c = abs(2 * b - c)
+        elif c > 2 * b:
+            c = abs(4 * b - c)
+        else:
+            return b, c, mirror
+        mirror = not mirror
+
+
+def test_classify_equals_subtraction_loop():
+    for b in range(1, 201):
+        if b % 3 == 0:
+            continue
+        for c in range(1, 201):
+            if c % 3 == 0 or gcd(b, c) != 1:
+                continue
+            want = _subtraction_reduction(b, c)
+            if want is None:
+                with pytest.raises(TrivialKnot):
+                    classify(HarmonicSpec(3, b, c))
+                continue
+            canon = classify(HarmonicSpec(3, b, c))
+            assert (canon.b_prime, canon.c_prime, canon.mirror) == want, (b, c)
+
+
+def test_classify_large_degrees_take_no_steps_cap():
+    canon = classify(HarmonicSpec(3, 4, 1000003))
+    assert (canon.b_prime, canon.c_prime, canon.mirror) == (4, 5, False)
+    # c = b + 3 walks down by 3 per two moves: about 7e17 moves one at a time
+    with pytest.raises(TrivialKnot):
+        classify(HarmonicSpec(3, 10**18 + 1, 10**18 + 4))
+    # only c mod 6b matters once c is large
+    big = 7 + 6 * 5 * 10**40
+    assert classify(HarmonicSpec(3, 5, big)) == replace(
+        classify(HarmonicSpec(3, 5, 37)), spec=HarmonicSpec(3, 5, big)
+    )
+
+
+def _oracle_knot(b: int, c: int):
+    """The exactly measured curve (T_3, T_b, T_c), or None for the unknot."""
+    try:
+        return recover_knot(measure_crossings(3, b, ChebyshevHeight(c)))
+    except TrivialKnot:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(2, 300),
+    c=st.one_of(st.integers(2, 10**9), st.integers(2, 40)),
+)
+@example(b=4, c=1000003)
+@example(b=298, c=5)
+def test_classify_matches_exact_oracle(b, c):
+    assume(b % 3 != 0 and c % 3 != 0 and gcd(b, c) == 1)
+    measured = _oracle_knot(b, c)
+    try:
+        canon = classify(HarmonicSpec(3, b, c))
+    except TrivialKnot:
+        assert measured is None, (b, c)
+        return
+    assert measured is not None, (b, c)
+    expected = canonicalize(canon.fraction.num, canon.fraction.den)
+    want = Equivalence.MIRROR if canon.mirror and not expected.amphicheiral else Equivalence.SAME
+    assert equivalent(measured, expected) is want, (b, c)
+
+
+def test_canonical_harmonic_to_json():
+    rec = classify(HarmonicSpec(3, 31, 43)).to_json()
+    assert list(rec) == [
+        "a", "b", "c", "b_canon", "c_canon", "mirror", "alpha", "beta", "N", "amphicheiral"
+    ]
+    assert rec == {
+        "a": 3, "b": 31, "c": 43, "b_canon": 5, "c_canon": 7, "mirror": False,
+        "alpha": 5, "beta": 3, "N": 4, "amphicheiral": True,
+    }
