@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .contfrac import Fraction, crossing_number, fibonacci
+from .contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
 from .errors import AlphaNonPositive, IndexOutOfRange, NotCoprime
 
 
@@ -39,7 +39,7 @@ class TwoBridgeKnot:
 
     @property
     def amphicheiral(self) -> bool:
-        return (self.beta * self.beta + 1) % self.alpha == 0
+        return is_amphicheiral(self.alpha, self.beta)
 
     @property
     def crossing_number(self) -> int:
@@ -98,9 +98,6 @@ def equivalent(k1: TwoBridgeKnot, k2: TwoBridgeKnot) -> Equivalence:
 # Named families
 # ---------------------------------------------------------------------------
 
-FAMILY_KINDS = ("torus", "twist", "stevedore", "fibonacci", "kn")
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A named knot family member: kind plus index."""
@@ -155,6 +152,7 @@ _FAMILY_TABLE = {
     "fibonacci": fibonacci_fraction,
     "kn": kn_fraction,
 }
+FAMILY_KINDS = tuple(_FAMILY_TABLE)
 
 
 def family_fraction(spec: FamilySpec) -> Fraction:

@@ -12,7 +12,7 @@ import re
 import sys
 from math import gcd
 
-from .bridge import FamilySpec, canonicalize, family_fraction
+from .bridge import FAMILY_KINDS, FamilySpec, canonicalize, family_fraction
 from .contfrac import (
     Fraction,
     cn_from_regular,
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("family", help="Schubert fraction of a named family")
-    p.add_argument("kind", choices=("torus", "twist", "stevedore", "fibonacci", "kn"))
+    p.add_argument("kind", choices=FAMILY_KINDS)
     p.add_argument("index", type=int)
     add_format(p)
     p.set_defaults(func=_cmd_family)

@@ -292,10 +292,6 @@ class Mat2:
         return cls(1, 0, 0, 1)
 
 
-P_MATRIX = Mat2(1, 1, 1, 0)
-M_MATRIX = Mat2(0, 1, 1, 1)
-
-
 @dataclass(frozen=True)
 class PMWord:
     """Word over the alphabet {P, M}, spelled as a string like 'PPMPPP'."""
@@ -440,6 +436,11 @@ def parity_class(cf: RegularCF) -> int:
     return residue
 
 
+def is_amphicheiral(alpha: int, beta: int) -> bool:
+    """S(alpha/beta) is its own mirror image exactly when beta^2 = -1 mod alpha."""
+    return (beta * beta + 1) % alpha == 0
+
+
 @dataclass(frozen=True)
 class PalindromyReport:
     """Word palindromy and the chirality facts it encodes."""
@@ -467,7 +468,7 @@ def palindromy_report(r: Fraction) -> PalindromyReport:
     return PalindromyReport(
         g_palindromic=pal,
         beta_sq_mod_alpha=bsq,
-        amphicheiral=(bsq == (alpha - 1) % alpha and alpha > 2),
+        amphicheiral=is_amphicheiral(alpha, beta),
         two_component=(alpha % 2 == 0),
     )
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
-from .contfrac import Fraction, crossing_number, eval_cf, pm_word, regular_expansion
-from .contfrac import _validate_one_regular
+from .contfrac import Fraction, crossing_number, eval_cf, regular_expansion
+from .contfrac import _pgp_inner, _validate_one_regular
 from .errors import (
     ChebknotError,
     InvalidForm,
@@ -28,9 +29,8 @@ from .errors import (
     NotCoprime,
     NotGreaterThanOne,
     NotOneRegular,
-    NotPGPForm,
 )
-from .trig import cos_sign, sin_sign
+from .trig import sin_sign
 
 
 def parameter_value(m: int, denom: int) -> float:
@@ -54,62 +54,25 @@ def xy_derivative_sign(a: int, b: int, h: int, k: int) -> int:
     return -s if (h + k) % 2 else s
 
 
-@dataclass(frozen=True)
-class CrossingPoint:
-    """One double point of the curve x = T_a(t), y = T_b(t)."""
+class CrossingPoint(NamedTuple):
+    """One double point of the curve x = T_a(t), y = T_b(t).
 
-    a: int
-    b: int
+    t = cos(m_t*pi/(a*b)) and s = cos(m_s*pi/(a*b)) are its two parameters,
+    xy_sign the exact sign of x'(t) y'(t).
+    """
+
     h: int
     k: int
-    index: int  # position in decreasing-x order, 0-based
-
-    @property
-    def m_t(self) -> int:
-        """t = cos(m_t * pi / (a*b))."""
-        return self.k * self.b + self.a * self.h
-
-    @property
-    def m_s(self) -> int:
-        """s = cos(m_s * pi / (a*b))."""
-        return abs(self.k * self.b - self.a * self.h)
-
-    @property
-    def t(self) -> float:
-        return parameter_value(self.m_t, self.a * self.b)
-
-    @property
-    def s(self) -> float:
-        return parameter_value(self.m_s, self.a * self.b)
-
-    @property
-    def x(self) -> float:
-        return math.cos(self.x_key * math.pi / self.b)
-
-    @property
-    def x_key(self) -> int:
-        """Integer nu with x = cos(nu*pi/b); increasing nu is decreasing x."""
-        return x_key(self.a, self.b, self.h, self.k)
-
-    @property
-    def row(self) -> int:
-        """+1 for the upper crossing line, -1 for the lower (a = 3)."""
-        sign = cos_sign(self.k * self.b, self.a)
-        return -sign if self.h % 2 else sign
-
-    @property
-    def xy_sign(self) -> int:
-        return xy_derivative_sign(self.a, self.b, self.h, self.k)
+    m_t: int
+    m_s: int
+    t: float
+    s: float
+    xy_sign: int
 
 
-# One crossing as plain data: (h, k, m_t, m_s, t, s, xy_sign), with
-# t = cos(m_t*pi/(a*b)), s = cos(m_s*pi/(a*b)) and xy_sign the exact sign
-# of x'(t) y'(t); the CrossingPoint properties of the same name agree.
-CrossingRow = tuple[int, int, int, int, float, float, int]
-
-
-def crossing_table(a: int, b: int) -> list[CrossingRow]:
-    """All (a-1)(b-1)/2 crossings of the curve as rows, by decreasing x.
+def crossing_table(a: int, b: int) -> list[tuple]:
+    """All (a-1)(b-1)/2 crossings of the curve by decreasing x, as plain
+    tuples with CrossingPoint's fields (h, k, m_t, m_s, t, s, xy_sign).
 
     Rows are stable-sorted on the integer x_key alone; for a >= 4 keys
     tie and keep their (k, h) generation order.
@@ -119,7 +82,7 @@ def crossing_table(a: int, b: int) -> list[CrossingRow]:
     if gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     ab = a * b
-    keyed: list[tuple[int, CrossingRow]] = []
+    keyed: list[tuple[int, tuple]] = []
     for k in range(1, a):
         for h in range(1, (ab - k * b - 1) // a + 1):  # k*b + a*h < a*b
             m_t, m_s = k * b + a * h, abs(k * b - a * h)
@@ -136,11 +99,8 @@ def crossing_table(a: int, b: int) -> list[CrossingRow]:
 
 
 def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
-    """All (a-1)(b-1)/2 crossings of the curve, sorted by decreasing x."""
-    return [
-        CrossingPoint(a, b, row[0], row[1], i)
-        for i, row in enumerate(crossing_table(a, b))
-    ]
+    """The crossing_table rows as named CrossingPoint tuples."""
+    return list(map(CrossingPoint._make, crossing_table(a, b)))
 
 
 @dataclass(frozen=True)
@@ -207,12 +167,10 @@ def minimal_diagram(r: Fraction) -> MinimalDiagram:
 
 def is_minimal_by_word(r: Fraction) -> bool:
     """Word-degree minimality test: the expansion of r itself is minimal
-    exactly when its word has at least three more P letters than M letters."""
-    w = pm_word(regular_expansion(r))
-    s = w.letters
-    if len(s) < 2 or s[0] != "P" or s[-1] != "P":
-        raise NotPGPForm(f"{r} has word {s!r}, not of the form P...P")
-    return w.degP >= w.degM + 3
+    exactly when its word P G P has at least three more P letters than M
+    letters, that is when G has at least one more."""
+    g = _pgp_inner(r)
+    return g.degP >= g.degM + 1
 
 
 def conway_reversal_check(f1: ConwayForm, f2: ConwayForm, n_cross: int) -> bool:

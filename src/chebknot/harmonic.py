@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .bridge import TwoBridgeKnot
-from .contfrac import Fraction, eval_cf
+from .contfrac import Fraction, eval_cf, is_amphicheiral
 from .diagram import ConwayForm
 from .errors import (
     ADifferentFrom3,
@@ -131,8 +131,7 @@ class CanonicalHarmonic:
 
     @property
     def amphicheiral(self) -> bool:
-        a, b = self.fraction.num, self.fraction.den
-        return (b * b + 1) % a == 0
+        return is_amphicheiral(self.fraction.num, self.fraction.den)
 
     def conway_form(self) -> ConwayForm:
         return harmonic_conway(self.b_prime, (2 * self.b_prime - self.c_prime) // 3)

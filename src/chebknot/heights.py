@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contfrac import Fraction, crossing_number
+from .contfrac import Fraction, crossing_number, is_amphicheiral
 from .diagram import ConwayForm, MinimalDiagram, crossing_table, minimal_diagram
 from .errors import ChebknotError, EmptySequence, IsLink
 
@@ -171,9 +171,7 @@ def parametrization(r: Fraction) -> Parametrization:
         raise IsLink(f"{r} defines a two-component link")
     md: MinimalDiagram = minimal_diagram(r)
     g = gauss_sequence(md.form)
-    alpha, beta = r.num, r.den
-    amph = (beta * beta + 1) % alpha == 0
-    height = build_height(g, amphicheiral=amph)
+    height = build_height(g, amphicheiral=is_amphicheiral(r.num, r.den))
     n_cross = crossing_number(r)
     if md.b + height.degree != 3 * n_cross:
         raise ChebknotError(f"degree identity violated for {r}")

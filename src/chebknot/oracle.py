@@ -9,7 +9,6 @@ by a separation floor.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,15 +19,8 @@ from .errors import AmbiguousCrossing, NotTwoBridge, TrivialKnot
 from .heights import Parametrization
 from .trig import chebyshev, sin_sign
 
-SEPARATION_FLOOR_ENV = "CHEBKNOT_SEPARATION_FLOOR"
-DEFAULT_SEPARATION_FLOOR = 1e-9
-
-
-def _resolve_floor(floor: float | None) -> float:
-    if floor is not None:
-        return floor
-    raw = os.environ.get(SEPARATION_FLOOR_ENV)
-    return float(raw) if raw else DEFAULT_SEPARATION_FLOOR
+# Smallest |z(t) - z(s)| accepted from a height that is not a ChebyshevHeight.
+SEPARATION_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,18 +92,12 @@ class CurveSample:
         }
 
 
-def measure_crossings(
-    a: int,
-    b: int,
-    z: Callable[[float], float],
-    floor: float | None = None,
-) -> CurveSample:
+def measure_crossings(a: int, b: int, z: Callable[[float], float]) -> CurveSample:
     """Measure every crossing of (T_a(t), T_b(t), z(t)).
 
     The crossing with the i-th largest x gets the twist sign
     (-1)^(i+1) * sign(D) with D = (z(t) - z(s)) x'(t) y'(t).
     """
-    floor = _resolve_floor(floor)
     exact = isinstance(z, ChebyshevHeight)
     measured = []
     for i, (h, k, _, _, t, s, xy) in enumerate(crossing_table(a, b)):
@@ -124,9 +110,9 @@ def measure_crossings(
                     f"height degree shares a factor with ({a}, {b}) at crossing {(h, k)}"
                 )
         else:
-            if separation < floor:
+            if separation < SEPARATION_FLOOR:
                 raise AmbiguousCrossing(
-                    f"|z(t)-z(s)| = {separation:.3e} below floor {floor:.3e} "
+                    f"|z(t)-z(s)| = {separation:.3e} below floor {SEPARATION_FLOOR:.3e} "
                     f"at crossing {(h, k)}"
                 )
             zdiff = 1 if zt > zs else -1
@@ -161,16 +147,12 @@ def reproduces(r: Fraction, recovered: TwoBridgeKnot) -> bool:
     return equivalent(recovered, expected) is Equivalence.SAME
 
 
-def verify_parametrization(
-    r: Fraction,
-    p: Parametrization,
-    floor: float | None = None,
-) -> bool:
+def verify_parametrization(r: Fraction, p: Parametrization) -> bool:
     """End-to-end check: the constructed curve reproduces the input knot.
 
     The diagram emitted for r represents S(r) itself even when the
     mirrored flag is set (the negated conjugate expansion evaluates to an
     equivalent fraction), so the recovered knot must compare as the same.
     """
-    sample = measure_crossings(3, p.b, p.height, floor=floor)
+    sample = measure_crossings(3, p.b, p.height)
     return reproduces(r, recover_knot(sample))

@@ -8,13 +8,11 @@ from .diagram import ConwayForm
 from .heights import gauss_sequence
 from .trig import chebyshev
 
+SIZE = 560  # px, square frame
+MARGIN = 30  # px around the curve's [-1, 1]^2 box
 
-def render_diagram_svg(
-    form: ConwayForm,
-    samples_per_lobe: int = 64,
-    size: int = 560,
-    margin: int = 30,
-) -> str:
+
+def render_diagram_svg(form: ConwayForm, samples_per_lobe: int = 64) -> str:
     """Polyline approximation of (T_3(t), T_b(t)) with the under-strand
     broken around each undercrossing parameter."""
     b = form.b
@@ -32,10 +30,10 @@ def render_diagram_svg(
         windows.append((u - half, u + half))
 
     n = max(8, samples_per_lobe) * b
-    span = size - 2 * margin
+    span = SIZE - 2 * MARGIN
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        return (margin + (x + 1.0) * span / 2.0, margin + (1.0 - y) * span / 2.0)
+        return (MARGIN + (x + 1.0) * span / 2.0, MARGIN + (1.0 - y) * span / 2.0)
 
     segments: list[list[tuple[float, float]]] = []
     current: list[tuple[float, float]] = []
@@ -62,9 +60,9 @@ def render_diagram_svg(
         )
     body = "\n  ".join(paths)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n'
-        f'  <rect width="{size}" height="{size}" fill="white"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">\n'
+        f'  <rect width="{SIZE}" height="{SIZE}" fill="white"/>\n'
         f"  {body}\n"
         "</svg>\n"
     )

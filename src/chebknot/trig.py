@@ -1,4 +1,4 @@
-"""Exact signs of sines and cosines at rational multiples of pi.
+"""Exact signs of sines at rational multiples of pi.
 
 All crossing-sign logic in this package reduces to signs of sin(p*pi/q)
 with integer p, q.  Evaluating these with integer arithmetic removes every
@@ -25,8 +25,3 @@ def sin_sign(p: int, q: int) -> int:
         return 0
     return 1 if r < q else -1
 
-
-def cos_sign(p: int, q: int) -> int:
-    """Sign of cos(p*pi/q) for integers p and q > 0."""
-    # cos(x) = sin(pi/2 - x), so cos(p*pi/q) = sin((q - 2p) * pi / (2q)).
-    return sin_sign(q - 2 * p, 2 * q)

@@ -474,6 +474,18 @@ def test_palindromy_worked_examples():
     assert rep.g_palindromic and not rep.amphicheiral
 
 
+def test_palindromy_amphicheirality_agrees_with_canonicalize():
+    from chebknot.bridge import canonicalize
+
+    # S(2/1) is its own mirror: canonicalize sends 2/-1 to the same knot
+    assert canonicalize(2, -1) == canonicalize(2, 1)
+    assert palindromy_report(Fraction(2, 1)).amphicheiral
+    assert canonicalize(2, 1).amphicheiral
+    for alpha, beta in coprime_pairs(100):
+        want = canonicalize(alpha, beta).amphicheiral
+        assert palindromy_report(Fraction(alpha, beta)).amphicheiral == want, (alpha, beta)
+
+
 def test_palindromy_sweep():
     for alpha, beta in coprime_pairs(80):
         r = Fraction(alpha, beta)

@@ -18,6 +18,9 @@ from chebknot.diagram import (
     enumerate_crossings,
     is_minimal_by_word,
     minimal_diagram,
+    parameter_value,
+    x_key,
+    xy_derivative_sign,
 )
 from chebknot.errors import (
     InvalidForm,
@@ -60,12 +63,11 @@ def test_crossing_count_and_symmetry_sweep():
 def test_crossings_sorted_by_strictly_decreasing_x():
     for b in (4, 5, 7, 8, 10, 11):
         pts = enumerate_crossings(3, b)
-        xs = [p.x for p in pts]
+        xs = [math.cos(x_key(3, b, p.h, p.k) * math.pi / b) for p in pts]
         assert all(xs[i] > xs[i + 1] for i in range(len(xs) - 1))
-        assert [p.index for p in pts] == list(range(len(pts)))
         # the sorted abscissae are exactly cos(i*pi/b), i = 1..b-1
-        for i, p in enumerate(pts, start=1):
-            assert math.isclose(p.x, math.cos(i * math.pi / b), abs_tol=1e-12)
+        for i, x in enumerate(xs, start=1):
+            assert math.isclose(x, math.cos(i * math.pi / b), abs_tol=1e-12)
 
 
 def test_crossing_parameters_and_rows():
@@ -78,19 +80,25 @@ def test_crossing_parameters_and_rows():
             # crossings of C(3, b) sit on the lines y = +-1/2
             y = math.cos(b * math.acos(p.t))
             assert math.isclose(abs(y), 0.5, abs_tol=1e-9)
-            assert p.row == (1 if y > 0 else -1)
 
 
 def _reference_rows(a: int, b: int) -> list[tuple]:
-    """Crossing rows from the CrossingPoint properties, sorted by x_key."""
-    points = [
-        CrossingPoint(a, b, h, k, 0)
-        for k in range(1, a)
-        for h in range(1, b)
-        if k * b + a * h < a * b
-    ]
-    points.sort(key=lambda p: p.x_key)
-    return [(p.h, p.k, p.m_t, p.m_s, p.t, p.s, p.xy_sign) for p in points]
+    """Crossing rows from the per-crossing formulas, sorted by x_key."""
+    keyed = []
+    for k in range(1, a):
+        for h in range(1, b):
+            if k * b + a * h >= a * b:
+                continue
+            m_t = k * b + a * h
+            m_s = abs(k * b - a * h)
+            row = (
+                h, k, m_t, m_s,
+                parameter_value(m_t, a * b), parameter_value(m_s, a * b),
+                xy_derivative_sign(a, b, h, k),
+            )
+            keyed.append((x_key(a, b, h, k), row))
+    keyed.sort(key=lambda e: e[0])
+    return [row for _, row in keyed]
 
 
 def test_crossing_table_equals_crossing_point_properties():
@@ -99,6 +107,19 @@ def test_crossing_table_equals_crossing_point_properties():
             if gcd(a, b) != 1:
                 continue
             assert crossing_table(a, b) == _reference_rows(a, b), (a, b)
+
+
+def test_enumerate_crossings_names_the_table_rows():
+    for a in (3, 4, 5, 7):
+        for b in range(2, 200):
+            if gcd(a, b) != 1:
+                continue
+            points = enumerate_crossings(a, b)
+            table = crossing_table(a, b)
+            assert points == table, (a, b)
+            for p, row in zip(points, table):
+                assert type(p) is CrossingPoint
+                assert (p.h, p.k, p.m_t, p.m_s, p.t, p.s, p.xy_sign) == row
 
 
 def _chebyshev_derivative(n: int, t: float) -> float:

@@ -63,7 +63,7 @@ def test_single_crossing_degenerate_diagram():
 
 
 def _sorted_gauss_events(form: ConwayForm) -> tuple:
-    """Gauss events from the CrossingPoint properties, sorted by m."""
+    """Gauss events from the enumerate_crossings fields, sorted by m."""
     keyed = []
     for i, c in enumerate(enumerate_crossings(3, form.b)):
         d = form.signs[i] if i % 2 == 0 else -form.signs[i]

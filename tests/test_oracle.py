@@ -189,15 +189,6 @@ def test_separation_floor_raises_for_degenerate_height():
         measure_crossings(3, 4, lambda t: 0.0)
 
 
-def test_separation_floor_env_override(monkeypatch):
-    p = parametrization(Fraction(9, 2))
-    monkeypatch.setenv("CHEBKNOT_SEPARATION_FLOOR", "1e9")
-    with pytest.raises(AmbiguousCrossing):
-        measure_crossings(3, p.b, p.height)
-    monkeypatch.delenv("CHEBKNOT_SEPARATION_FLOOR")
-    measure_crossings(3, p.b, p.height)
-
-
 def test_chebyshev_height_shared_factor_is_ambiguous():
     with pytest.raises(AmbiguousCrossing):
         measure_crossings(3, 10, ChebyshevHeight(5))  # gcd(5, 10) > 1
