@@ -2,7 +2,9 @@
 
 Crossing parameters of the curve (T_a(t), T_b(t)) are known in closed
 form, so any height z can be tested exactly where it matters: which strand
-passes over.  Chebyshev heights never even touch floating point.
+passes over.  Chebyshev heights never even touch floating point, and a
+constructed height polynomial is read off its roots: its sign at a
+parameter is the parity of the roots above it.
 """
 
 from chebknot import (
@@ -32,14 +34,15 @@ for b, c in ((8, 7), (7, 8)):
     print(f"H(3,{b},{c}) vs T(2,5): {rel.value}")
 
 # End-to-end: build a parametrization from a fraction alone, then measure
-# the resulting curve and confirm it reproduces the input knot.
+# the resulting curve and confirm it reproduces the input knot.  The margin
+# is how far the nearest root of z lies from a crossing parameter.
 print()
-for text in ("3/1", "7/2", "9/2", "25/7"):
+for text in ("3/1", "7/2", "9/2", "25/7", "35/2"):
     r = Fraction.parse(text)
     p = parametrization(r)
     ok = verify_parametrization(r, p)
     sample = measure_crossings(3, p.b, p.height)
     print(
         f"S({r}): degrees (3, {p.b}, {p.height.degree})"
-        f"  verified={ok}  min strand separation {sample.min_separation:.2e}"
+        f"  verified={ok}  margin {sample.min_separation:.2e}"
     )

@@ -153,14 +153,14 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         {
             "fraction": str(frac),
             "recovered": recovered.to_json(),
-            "min_separation": sample.min_separation,
+            "min_separation": sample.min_separation,  # smallest margin, see CurveSample
             "verdict": ok,
         }
     )
     status = "OK" if ok else "FAILED"
     text = (
         f"verify {frac}: {status}  b={p.b}  deg(z)={p.height.degree}"
-        f"  min|z(t)-z(s)|={sample.min_separation:.3e}"
+        f"  min_margin={sample.min_separation:.3e}"
     )
     _emit(args, text, payload)
 

@@ -40,6 +40,21 @@ def parameter_value(m: int, denom: int) -> float:
     return -math.cos((denom - m) * math.pi / denom)
 
 
+# Bound on |parameter_value(m, denom) - cos(m*pi/denom)| for denom < 2**53.
+# With u = 2**-53, math.pi, the product and the quotient each round with
+# relative error at most u, so the argument, at most pi/2, is off by at
+# most ((1 + u)**3 - 1) * pi/2 < 4.72u; cos is 1-Lipschitz; libm's cos is
+# within one ulp of a result in [0, 1], which is at most u; the negation is
+# exact.  In all, less than 5.72u.
+PARAMETER_ERROR = 6 * 2.0**-53
+
+
+def twist_sign(i: int, sign: int) -> int:
+    """(-1)^i * sign: turns the sign of D = (z(t) - z(s)) x'(t) y'(t) at the
+    crossing with the (i+1)-th largest x into its twist sign, and back."""
+    return sign if i % 2 == 0 else -sign
+
+
 def x_key(a: int, b: int, h: int, k: int) -> int:
     """Integer nu with x = cos(nu*pi/b) at the crossing with indices (h, k)."""
     mu = (a * h) % (2 * b)

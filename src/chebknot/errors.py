@@ -79,7 +79,7 @@ class BDivisibleBy3(ChebknotError):
 
 
 class ADifferentFrom3(ChebknotError):
-    """Harmonic classification is implemented for a = 3 only."""
+    """Harmonic classification is implemented for a <= 3 only."""
 
 
 class TrivialKnot(ChebknotError):
@@ -87,7 +87,7 @@ class TrivialKnot(ChebknotError):
 
 
 class AmbiguousCrossing(ChebknotError):
-    """Strand heights at a crossing are closer than the separation floor."""
+    """The height cannot certify which strand passes over at a crossing."""
 
 
 class NotTwoBridge(ChebknotError):

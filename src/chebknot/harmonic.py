@@ -161,6 +161,8 @@ def classify(spec: HarmonicSpec) -> CanonicalHarmonic:
     division, so the maximum of (b, c) falls by a factor 3/4 at least every
     three rounds and the loop ends after O(log max(b, c)) rounds.
     """
+    if spec.a <= 2:  # x = T_a(t) has at most one critical point
+        raise TrivialKnot(f"H({spec.a}, {spec.b}, {spec.c}) is the unknot")
     if spec.a != 3:
         raise ADifferentFrom3("classification is implemented for a = 3")
     if gcd(spec.b, 3) != 1 or gcd(spec.c, 3) != 1 or gcd(spec.b, spec.c) != 1:

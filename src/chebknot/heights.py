@@ -11,11 +11,38 @@ crossing number.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .contfrac import Fraction, crossing_number, is_amphicheiral
-from .diagram import ConwayForm, MinimalDiagram, crossing_table, minimal_diagram
-from .errors import ChebknotError, EmptySequence, IsLink
+from .diagram import PARAMETER_ERROR, ConwayForm, MinimalDiagram, crossing_table
+from .diagram import minimal_diagram, twist_sign
+from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
+
+# Smallest |z(t) - z(s)| the float rule accepts.
+SEPARATION_FLOOR = 1e-9
+
+
+class FloatHeight(NamedTuple):
+    """Any callable height, decided in floating point behind SEPARATION_FLOOR."""
+
+    z: Callable[[float], float]
+
+    def label(self) -> str:
+        return getattr(self.z, "__name__", "z")
+
+    def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
+        """Sign of z(t) - z(s), with |z(t) - z(s)| as its margin."""
+        zt, zs = self.z(t), self.z(s)
+        separation = abs(zt - zs)
+        if separation < SEPARATION_FLOOR:
+            raise AmbiguousCrossing(
+                f"|z(t)-z(s)| = {separation:.3e} below floor {SEPARATION_FLOOR:.3e} "
+                f"at crossing {(h, k)}"
+            )
+        return (1 if zt > zs else -1), separation
 
 
 @dataclass(frozen=True)
@@ -49,8 +76,7 @@ def gauss_sequence(form: ConwayForm) -> GaussSequence:
     # exactly one crossing, so the events are placed by m with no sort.
     slots: list = [None] * (3 * b)
     for i, (_, _, m_t, m_s, t, s, xy) in enumerate(crossing_table(3, b)):
-        d = form.signs[i] if i % 2 == 0 else -form.signs[i]
-        zdiff = d * xy
+        zdiff = twist_sign(i, form.signs[i]) * xy
         slots[m_t] = (t, zdiff)
         slots[m_s] = (s, -zdiff)
     events = tuple(e for e in slots if e is not None)  # increasing m: decreasing parameter
@@ -85,6 +111,27 @@ class HeightPolynomial:
         for r in self.roots:
             v *= t - r
         return v
+
+    def label(self) -> str:
+        return "z"
+
+    def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
+        """Sign of z(t) - z(s) from root counts, with the distance from t or s
+        to the nearest root as its margin.  z has the sign leading_sign *
+        (-1)^(roots above p) at p, and at the true crossing parameter too
+        unless a root lies within PARAMETER_ERROR of p.  Strands of opposite
+        signs are ordered by z(t); strands of one sign by the float rule."""
+        roots, n = self.roots, len(self.roots)
+        i, j = bisect_left(roots, t), bisect_left(roots, s)  # roots[i - 1] < t <= roots[i]
+        margin = min(
+            t - roots[i - 1] if i else math.inf, roots[i] - t if i < n else math.inf,
+            s - roots[j - 1] if j else math.inf, roots[j] - s if j < n else math.inf,
+        )
+        if margin <= PARAMETER_ERROR:
+            raise AmbiguousCrossing(f"a root of z lies within {margin:.1e} of t or s at crossing {(h, k)}")
+        if (i - j) % 2 == 0:
+            return FloatHeight(self).decide_crossing(a, b, h, k, t, s)
+        return (self.leading_sign if (n - i) % 2 == 0 else -self.leading_sign), margin
 
     @property
     def is_odd_symmetric(self) -> bool:

@@ -2,25 +2,23 @@
 
 Given any height function z over the diagram x = T_a(t), y = T_b(t), this
 module decides every crossing from the closed-form parameter pairs: no
-root finding, no intersection search.  Chebyshev heights are resolved with
-exact integer trigonometry; arbitrary heights in floating point, guarded
-by a separation floor.
+root finding, no intersection search.  Each height type decides its own
+crossings: Chebyshev heights by exact integer trigonometry, height
+polynomials by counting their roots above each parameter, and any other
+callable in floating point behind a separation floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
 from .contfrac import eval_cf_projective, Fraction
-from .diagram import crossing_table
-from .errors import AmbiguousCrossing, NotTwoBridge, TrivialKnot
-from .heights import Parametrization
+from .diagram import crossing_table, twist_sign
+from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
+from .heights import SEPARATION_FLOOR, FloatHeight, Parametrization  # noqa: F401 (the floor is re-exported)
 from .trig import chebyshev, sin_sign
-
-# Smallest |z(t) - z(s)| accepted from a height that is not a ChebyshevHeight.
-SEPARATION_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -30,6 +28,10 @@ class ChebyshevHeight:
     c: int
     sign: int = 1
 
+    def __post_init__(self) -> None:
+        if self.sign not in (1, -1) or self.c < 1:
+            raise ChebknotError(f"need c >= 1 and sign +1 or -1, not ({self.c}, {self.sign})")
+
     def __call__(self, t: float) -> float:
         return self.sign * chebyshev(self.c, t)
 
@@ -37,13 +39,21 @@ class ChebyshevHeight:
         # T_c(t) - T_c(s) = -2 sin(c*h*pi/b) sin(c*k*pi/a)
         return -self.sign * sin_sign(self.c * h, b) * sin_sign(self.c * k, a)
 
+    def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
+        """Exact sign of z(t) - z(s), with |z(t) - z(s)| in floats as its margin."""
+        zdiff = self.zdiff_sign(a, b, h, k)
+        if zdiff == 0:
+            raise AmbiguousCrossing(
+                f"height degree shares a factor with ({a}, {b}) at crossing {(h, k)}"
+            )
+        return zdiff, abs(self(t) - self(s))
+
     def label(self) -> str:
         return f"T_{self.c}" if self.sign > 0 else f"-T_{self.c}"
 
 
-@dataclass(frozen=True)
-class MeasuredCrossing:
-    """One crossing with its measured strand order and twist sign."""
+class MeasuredCrossing(NamedTuple):
+    """One crossing with its measured strand order, twist sign and margin."""
 
     h: int
     k: int
@@ -81,6 +91,9 @@ class CurveSample:
 
     @property
     def min_separation(self) -> float:
+        """Smallest margin: for a HeightPolynomial the distance from a crossing
+        parameter to the nearest root (|z(t) - z(s)| where both strands have
+        one sign); for any other height |z(t) - z(s)| in floats."""
         return min(c.separation for c in self.crossings)
 
     def to_report(self) -> dict:
@@ -96,31 +109,16 @@ def measure_crossings(a: int, b: int, z: Callable[[float], float]) -> CurveSampl
     """Measure every crossing of (T_a(t), T_b(t), z(t)).
 
     The crossing with the i-th largest x gets the twist sign
-    (-1)^(i+1) * sign(D) with D = (z(t) - z(s)) x'(t) y'(t).
+    (-1)^(i+1) * sign(D) with D = (z(t) - z(s)) x'(t) y'(t).  The sign of
+    z(t) - z(s) comes from the height's own decide_crossing.
     """
-    exact = isinstance(z, ChebyshevHeight)
+    height = z if hasattr(z, "decide_crossing") else FloatHeight(z)
     measured = []
     for i, (h, k, _, _, t, s, xy) in enumerate(crossing_table(a, b)):
-        zt, zs = z(t), z(s)
-        separation = abs(zt - zs)
-        if exact:
-            zdiff = z.zdiff_sign(a, b, h, k)
-            if zdiff == 0:
-                raise AmbiguousCrossing(
-                    f"height degree shares a factor with ({a}, {b}) at crossing {(h, k)}"
-                )
-        else:
-            if separation < SEPARATION_FLOOR:
-                raise AmbiguousCrossing(
-                    f"|z(t)-z(s)| = {separation:.3e} below floor {SEPARATION_FLOOR:.3e} "
-                    f"at crossing {(h, k)}"
-                )
-            zdiff = 1 if zt > zs else -1
+        zdiff, margin = height.decide_crossing(a, b, h, k, t, s)
         d = zdiff * xy
-        conway = d if i % 2 == 0 else -d
-        measured.append(MeasuredCrossing(h, k, t, s, zdiff, xy, d, conway, separation))
-    label = z.label() if exact else getattr(z, "__name__", "z")
-    return CurveSample(a, b, label, tuple(measured))
+        measured.append(MeasuredCrossing(h, k, t, s, zdiff, xy, d, twist_sign(i, d), margin))
+    return CurveSample(a, b, height.label(), tuple(measured))
 
 
 def recover_knot(sample: CurveSample) -> TwoBridgeKnot:

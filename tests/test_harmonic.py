@@ -388,3 +388,12 @@ def test_canonical_harmonic_to_json():
         "a": 3, "b": 31, "c": 43, "b_canon": 5, "c_canon": 7, "mirror": False,
         "alpha": 5, "beta": 3, "N": 4, "amphicheiral": True,
     }
+
+
+def test_classify_a_at_most_2_is_the_unknot():
+    # x = T_a(t) with a <= 2 has at most one critical point: one bridge
+    for a in (1, 2):
+        with pytest.raises(TrivialKnot):
+            classify(HarmonicSpec(a, 5, 7))
+    with pytest.raises(ADifferentFrom3):
+        classify(HarmonicSpec(4, 5, 7))

@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+import math
 import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import fractions_with_crossing_number_up_to
 from chebknot.bridge import Equivalence, canonicalize, equivalent
-from chebknot.contfrac import Fraction
-from chebknot.errors import AmbiguousCrossing, NotTwoBridge, TrivialKnot
+from chebknot.contfrac import Fraction, crossing_number, fibonacci
+from chebknot.diagram import PARAMETER_ERROR, enumerate_crossings
+from chebknot.errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from chebknot.harmonic import (
     classify,
     crossing_sign_closed_form,
     harmonic_conway,
     HarmonicSpec,
 )
-from chebknot.heights import parametrization
+from chebknot.heights import HeightPolynomial, parametrization
 from chebknot.oracle import (
     ChebyshevHeight,
     measure_crossings,
@@ -213,3 +217,68 @@ def test_min_separation_reported():
     p = parametrization(Fraction(9, 2))
     sample = measure_crossings(3, p.b, p.height)
     assert sample.min_separation > 1e-6
+
+
+# Constructions the float floor refused, N = 16 to N = 76,754: every
+# crossing has strands of opposite signs, decided by counting roots.
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (fibonacci(17), fibonacci(16)),
+        (35, 2),
+        (21, 1),
+        (2001, 1),
+        (fibonacci(1201), fibonacci(1200)),
+        (10**9 + 7, 123456789),
+    ],
+    ids=["F17/F16", "35/2", "21/1", "2001/1", "F1201/F1200", "1000000007/123456789"],
+)
+def test_root_count_verifies_large_constructions(alpha, beta):
+    r = Fraction(alpha, beta)
+    assert verify_parametrization(r, parametrization(r))
+
+
+@st.composite
+def _large_knot_fractions(draw):
+    alpha = draw(st.integers(10**3, 10**30)) | 1
+    beta = draw(st.integers(1, alpha - 1))
+    assume(gcd(alpha, beta) == 1)
+    r = Fraction(alpha, beta)
+    assume(crossing_number(r) <= 3000)
+    return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=_large_knot_fractions())
+def test_verify_parametrization_large_numerators(r):
+    assert verify_parametrization(r, parametrization(r))
+
+
+def test_same_sign_strands_fall_to_the_float_rule():
+    # z = (t + 0.5)(t - 0.2)(t - 0.6): at the crossings 1, 4 and 6 both
+    # strands have one sign, so |z(t) - z(s)| decides there
+    z = HeightPolynomial((-0.5, 0.2, 0.6), 1)
+    sample = measure_crossings(3, 7, z)
+    assert sample.conway_signs == (1, -1, 1, 1, -1, 1)  # as measured by the float rule alone
+    for c in sample.crossings:
+        assert c.zdiff_sign == (1 if z(c.t) > z(c.s) else -1)
+    same = [(z(c.t) > 0) == (z(c.s) > 0) for c in sample.crossings]
+    assert same == [True, False, False, True, False, True]
+    assert measure_crossings(3, 7, lambda t: z(t)).conway_signs == sample.conway_signs
+
+
+def test_root_at_a_crossing_parameter_is_ambiguous():
+    t = enumerate_crossings(3, 7)[2].t
+    for root in (t, math.nextafter(t, 2.0), t - PARAMETER_ERROR):
+        with pytest.raises(AmbiguousCrossing):
+            measure_crossings(3, 7, HeightPolynomial((-0.5, root), 1))
+    # a root just beyond the bound leaves the crossing decided
+    measure_crossings(3, 7, HeightPolynomial((-0.5, t + 2 * PARAMETER_ERROR), 1))
+
+
+def test_chebyshev_height_checks_its_input():
+    for c, sign in ((7, 2), (7, 0), (0, 1), (-5, 1)):
+        with pytest.raises(ChebknotError) as info:
+            ChebyshevHeight(c, sign)
+        assert not isinstance(info.value, AmbiguousCrossing)
+    assert measure_crossings(3, 5, ChebyshevHeight(7, sign=-1)).conway_signs == (-1, -1, -1, -1)
