@@ -8,16 +8,14 @@ plus a mirror flag, which makes knots hashable atlas keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
+from .contfrac import Fraction, Record, crossing_number, fibonacci, is_amphicheiral
 from .errors import AlphaNonPositive, IndexOutOfRange, NotCoprime
 
 
-@dataclass(frozen=True)
-class TwoBridgeKnot:
+class TwoBridgeKnot(Record):
     """Canonical representative of a two-bridge knot or link.
 
     beta is the smallest positive residue in the orbit
@@ -25,9 +23,12 @@ class TwoBridgeKnot:
     in the mirror half of that orbit.
     """
 
-    alpha: int
-    beta: int
-    mirror: bool
+    __slots__ = ("alpha", "beta", "mirror")
+
+    def __init__(self, alpha: int, beta: int, mirror: bool) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "mirror", mirror)
 
     @property
     def is_knot(self) -> bool:
@@ -98,16 +99,16 @@ def equivalent(k1: TwoBridgeKnot, k2: TwoBridgeKnot) -> Equivalence:
 # Named families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A named knot family member: kind plus index."""
 
-    kind: str
-    index: int
+    __slots__ = ("kind", "index")
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
-            raise IndexOutOfRange(f"unknown family {self.kind!r}")
+    def __init__(self, kind: str, index: int) -> None:
+        if kind not in FAMILY_KINDS:
+            raise IndexOutOfRange(f"unknown family {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
 
 
 def torus_fraction(n: int) -> Fraction:

@@ -13,7 +13,6 @@ the expansion, the word, and the matrix are three views of the same object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -30,19 +29,45 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Fraction:
+class Record:
+    """Immutable value: frozen-dataclass equality, hash and repr over __slots__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Fraction(Record):
     """Reduced rational num/den with the sign carried by the denominator.
 
     The mirror image of the two-bridge knot S(a/b) is S(a/-b), so a
     negative fraction keeps num > 0 and stores the sign in den.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: int, den: int = 1) -> None:
         if den == 0:
             raise ChebknotError("fraction with zero denominator")
         if num < 0:
@@ -130,14 +155,13 @@ def _validate_one_regular(terms: Sequence[int]) -> None:
             raise NotOneRegular("two consecutive sign changes")
 
 
-@dataclass(frozen=True)
-class RegularCF:
+class RegularCF(Record):
     """One-regular continued fraction with all terms +-1."""
 
-    terms: tuple[int, ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, terms: Sequence[int]) -> None:
+        object.__setattr__(self, "terms", tuple(terms))
         _validate_one_regular(self.terms)
 
     def __len__(self) -> int:
@@ -152,14 +176,13 @@ class RegularCF:
         return eval_cf(self.terms)
 
 
-@dataclass(frozen=True)
-class ClassicalCF:
+class ClassicalCF(Record):
     """Continued fraction with strictly positive integer quotients."""
 
-    quotients: tuple[int, ...]
+    __slots__ = ("quotients",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "quotients", tuple(self.quotients))
+    def __init__(self, quotients: Sequence[int]) -> None:
+        object.__setattr__(self, "quotients", tuple(quotients))
         if not self.quotients:
             raise EmptySequence("empty quotient sequence")
         if any(q <= 0 for q in self.quotients):
@@ -264,14 +287,16 @@ def cn_from_regular(cf: RegularCF) -> int:
 _SWAP = str.maketrans("PM", "MP")
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Record):
     """2x2 integer matrix, row-major."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -292,15 +317,15 @@ class Mat2:
         return cls(1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class PMWord:
+class PMWord(Record):
     """Word over the alphabet {P, M}, spelled as a string like 'PPMPPP'."""
 
-    letters: str
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        if any(ch not in "PM" for ch in self.letters):
-            raise ChebknotError(f"invalid word letters: {self.letters!r}")
+    def __init__(self, letters: str) -> None:
+        if any(ch not in "PM" for ch in letters):
+            raise ChebknotError(f"invalid word letters: {letters!r}")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -441,14 +466,17 @@ def is_amphicheiral(alpha: int, beta: int) -> bool:
     return (beta * beta + 1) % alpha == 0
 
 
-@dataclass(frozen=True)
-class PalindromyReport:
+class PalindromyReport(Record):
     """Word palindromy and the chirality facts it encodes."""
 
-    g_palindromic: bool
-    beta_sq_mod_alpha: int
-    amphicheiral: bool
-    two_component: bool
+    __slots__ = ("g_palindromic", "beta_sq_mod_alpha", "amphicheiral", "two_component")
+
+    def __init__(self, g_palindromic: bool, beta_sq_mod_alpha: int, amphicheiral: bool,
+                 two_component: bool) -> None:
+        object.__setattr__(self, "g_palindromic", g_palindromic)
+        object.__setattr__(self, "beta_sq_mod_alpha", beta_sq_mod_alpha)
+        object.__setattr__(self, "amphicheiral", amphicheiral)
+        object.__setattr__(self, "two_component", two_component)
 
 
 def palindromy_report(r: Fraction) -> PalindromyReport:

@@ -15,11 +15,10 @@ even i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .contfrac import Fraction, crossing_number, eval_cf, regular_expansion
+from .contfrac import Fraction, Record, crossing_number, eval_cf, regular_expansion
 from .contfrac import _pgp_inner, _validate_one_regular
 from .errors import (
     ChebknotError,
@@ -118,18 +117,17 @@ def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
     return list(map(CrossingPoint._make, crossing_table(a, b)))
 
 
-@dataclass(frozen=True)
-class ConwayForm:
+class ConwayForm(Record):
     """Twist signs of a C(3, b) diagram, listed in decreasing-x order."""
 
-    signs: tuple[int, ...]
-    b: int
+    __slots__ = ("signs", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signs", tuple(self.signs))
-        if self.b < 2 or self.b % 3 == 0:
-            raise InvalidForm(f"b = {self.b} is not a valid diagram degree")
-        if len(self.signs) != self.b - 1:
+    def __init__(self, signs: Sequence[int], b: int) -> None:
+        object.__setattr__(self, "signs", tuple(signs))
+        object.__setattr__(self, "b", b)
+        if b < 2 or b % 3 == 0:
+            raise InvalidForm(f"b = {b} is not a valid diagram degree")
+        if len(self.signs) != b - 1:
             raise InvalidForm("need exactly b - 1 signs")
         try:
             _validate_one_regular(self.signs)
@@ -146,11 +144,13 @@ class ConwayForm:
         return "C(" + ",".join(str(s) for s in self.signs) + ")"
 
 
-@dataclass(frozen=True)
-class MinimalDiagram:
-    form: ConwayForm
-    b: int
-    mirrored: bool
+class MinimalDiagram(Record):
+    __slots__ = ("form", "b", "mirrored")
+
+    def __init__(self, form: ConwayForm, b: int, mirrored: bool) -> None:
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "mirrored", mirrored)
 
 
 def minimal_diagram(r: Fraction) -> MinimalDiagram:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .bridge import TwoBridgeKnot
-from .contfrac import Fraction, eval_cf, is_amphicheiral
+from .contfrac import Fraction, Record, eval_cf, is_amphicheiral
 from .diagram import ConwayForm
 from .errors import (
     ADifferentFrom3,
@@ -29,23 +29,19 @@ from .errors import (
 from .trig import sin_sign
 
 
-@dataclass(frozen=True)
-class HarmonicSpec:
+class HarmonicSpec(Record):
     """Degrees (a, b, c) of a harmonic curve; must be pairwise coprime."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c) < 1:
+    def __init__(self, a: int, b: int, c: int) -> None:
+        if min(a, b, c) < 1:
             raise ChebknotError("degrees must be positive")
-        if (
-            gcd(self.a, self.b) != 1
-            or gcd(self.a, self.c) != 1
-            or gcd(self.b, self.c) != 1
-        ):
-            raise NotPairwiseCoprime(f"({self.a}, {self.b}, {self.c})")
+        if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
+            raise NotPairwiseCoprime(f"({a}, {b}, {c})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
 def harmonic_conway(b: int, lam: int) -> ConwayForm:

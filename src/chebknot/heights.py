@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from .contfrac import Fraction, crossing_number, is_amphicheiral
+from .contfrac import Fraction, Record, crossing_number, is_amphicheiral
 from .diagram import PARAMETER_ERROR, ConwayForm, MinimalDiagram, crossing_table
 from .diagram import minimal_diagram, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
@@ -45,12 +44,14 @@ class FloatHeight(NamedTuple):
         return (1 if zt > zs else -1), separation
 
 
-@dataclass(frozen=True)
-class GaussSequence:
+class GaussSequence(Record):
     """Over/under signs (+1 over, -1 under) at the crossing parameters,
     listed from the largest parameter to the smallest."""
 
-    events: tuple[tuple[float, int], ...]
+    __slots__ = ("events",)
+
+    def __init__(self, events: tuple[tuple[float, int], ...]) -> None:
+        object.__setattr__(self, "events", events)
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -90,17 +91,16 @@ def count_sign_changes(g: GaussSequence) -> int:
     return sum(1 for i in range(len(s) - 1) if s[i] * s[i + 1] < 0)
 
 
-@dataclass(frozen=True)
-class HeightPolynomial:
+class HeightPolynomial(Record):
     """Real polynomial stored as leading sign times a product of (t - r)."""
 
-    roots: tuple[float, ...]
-    leading_sign: int
+    __slots__ = ("roots", "leading_sign")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roots", tuple(sorted(self.roots)))
-        if self.leading_sign not in (1, -1):
+    def __init__(self, roots: Sequence[float], leading_sign: int) -> None:
+        object.__setattr__(self, "roots", tuple(sorted(roots)))
+        if leading_sign not in (1, -1):
             raise ChebknotError("leading sign must be +1 or -1")
+        object.__setattr__(self, "leading_sign", leading_sign)
 
     @property
     def degree(self) -> int:
@@ -185,15 +185,18 @@ def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomi
     return poly
 
 
-@dataclass(frozen=True)
-class Parametrization:
+class Parametrization(Record):
     """Space-curve presentation (T_3(t), T_b(t), C(t)) of a two-bridge knot."""
 
-    b: int
-    height: HeightPolynomial
-    crossing_number: int
-    form: ConwayForm
-    mirrored: bool
+    __slots__ = ("b", "height", "crossing_number", "form", "mirrored")
+
+    def __init__(self, b: int, height: HeightPolynomial, crossing_number: int, form: ConwayForm,
+                 mirrored: bool) -> None:
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "crossing_number", crossing_number)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "mirrored", mirrored)
 
     @property
     def a(self) -> int:

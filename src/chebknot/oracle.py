@@ -10,27 +10,27 @@ callable in floating point behind a separation floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Callable, NamedTuple
 
 from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
-from .contfrac import eval_cf_projective, Fraction
+from .contfrac import eval_cf_projective, Fraction, Record
 from .diagram import crossing_table, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from .heights import SEPARATION_FLOOR, FloatHeight, Parametrization  # noqa: F401 (the floor is re-exported)
 from .trig import chebyshev, sin_sign
 
 
-@dataclass(frozen=True)
-class ChebyshevHeight:
+class ChebyshevHeight(Record):
     """Height z(t) = sign * T_c(t); crossing signs are computed exactly."""
 
-    c: int
-    sign: int = 1
+    __slots__ = ("c", "sign")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1) or self.c < 1:
-            raise ChebknotError(f"need c >= 1 and sign +1 or -1, not ({self.c}, {self.sign})")
+    def __init__(self, c: int, sign: int = 1) -> None:
+        if sign not in (1, -1) or c < 1:
+            raise ChebknotError(f"need c >= 1 and sign +1 or -1, not ({c}, {sign})")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "sign", sign)
 
     def __call__(self, t: float) -> float:
         return self.sign * chebyshev(self.c, t)
@@ -40,13 +40,14 @@ class ChebyshevHeight:
         return -self.sign * sin_sign(self.c * h, b) * sin_sign(self.c * k, a)
 
     def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
-        """Exact sign of z(t) - z(s), with |z(t) - z(s)| in floats as its margin."""
+        """Exact sign of z(t) - z(s), with |z(t) - z(s)| from zdiff_sign's identity as its margin."""
         zdiff = self.zdiff_sign(a, b, h, k)
         if zdiff == 0:
             raise AmbiguousCrossing(
                 f"height degree shares a factor with ({a}, {b}) at crossing {(h, k)}"
             )
-        return zdiff, abs(self(t) - self(s))
+        ch, ck = self.c * h % (2 * b), self.c * k % (2 * a)
+        return zdiff, 2 * abs(math.sin(math.pi * ch / b) * math.sin(math.pi * ck / a))
 
     def label(self) -> str:
         return f"T_{self.c}" if self.sign > 0 else f"-T_{self.c}"
@@ -76,14 +77,16 @@ class MeasuredCrossing(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class CurveSample:
+class CurveSample(Record):
     """Measured crossing data of one explicit curve."""
 
-    a: int
-    b: int
-    height_label: str
-    crossings: tuple[MeasuredCrossing, ...]
+    __slots__ = ("a", "b", "height_label", "crossings")
+
+    def __init__(self, a: int, b: int, height_label: str, crossings: tuple[MeasuredCrossing, ...]) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "height_label", height_label)
+        object.__setattr__(self, "crossings", crossings)
 
     @property
     def conway_signs(self) -> tuple[int, ...]:
@@ -92,8 +95,8 @@ class CurveSample:
     @property
     def min_separation(self) -> float:
         """Smallest margin: for a HeightPolynomial the distance from a crossing
-        parameter to the nearest root (|z(t) - z(s)| where both strands have
-        one sign); for any other height |z(t) - z(s)| in floats."""
+        parameter to the nearest root (|z(t) - z(s)| where both strands have one
+        sign); otherwise |z(t) - z(s)|, in floats or, for T_c, by a sine identity."""
         return min(c.separation for c in self.crossings)
 
     def to_report(self) -> dict:

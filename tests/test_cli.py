@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import chebknot
 from chebknot.cli import main
 from chebknot.harmonic import HarmonicSpec, classify
 
@@ -186,3 +192,24 @@ def test_atlas_records_are_the_canonical_json(tmp_path, capsys):
     for line in lines:
         rec = json.loads(line)
         assert line == json.dumps(classify(HarmonicSpec(3, rec["b"], rec["c"])).to_json())
+
+
+def test_module_entry_point_matches_in_process(capsys):
+    src = Path(chebknot.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chebknot", "expand", "9/7", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, out, _ = run(capsys, "expand", "9/7", "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "") and code == 0
+    assert proc.stdout == out and json.loads(out)["fraction"] == "9/7"
+
+
+def test_canonical_harmonic_is_the_only_dataclass():
+    # Every CLI call pays for `import chebknot`.  Records are plain slotted
+    # classes because a dataclass runs generated code when it is created;
+    # CanonicalHarmonic stays one because callers pass it to
+    # dataclasses.replace.
+    exported = [name for name in chebknot.__all__ if dataclasses.is_dataclass(getattr(chebknot, name))]
+    assert exported == ["CanonicalHarmonic"]

@@ -29,6 +29,7 @@ from chebknot.oracle import (
     reproduces,
     verify_parametrization,
 )
+from chebknot.trig import chebyshev
 
 
 def test_chebyshev_zdiff_sign_against_float_evaluation():
@@ -44,6 +45,22 @@ def test_chebyshev_zdiff_sign_against_float_evaluation():
                 numeric = z(p.t) - z(p.s)
                 assert abs(numeric) > 1e-9
                 assert z.zdiff_sign(3, b, p.h, p.k) == (1 if numeric > 0 else -1)
+
+
+def test_chebyshev_margin_is_the_float_separation():
+    """The margin from the sine identity is |T_c(t) - T_c(s)| up to rounding."""
+    for a in (3, 4):
+        for b in range(2, 60):
+            if gcd(a, b) != 1:
+                continue
+            crossings = enumerate_crossings(a, b)
+            for c in range(1, 41):
+                z = ChebyshevHeight(c)
+                for p in crossings:
+                    if z.zdiff_sign(a, b, p.h, p.k) == 0:
+                        continue
+                    _, margin = z.decide_crossing(a, b, p.h, p.k, p.t, p.s)
+                    assert margin == pytest.approx(abs(chebyshev(c, p.t) - chebyshev(c, p.s)), abs=1e-9)
 
 
 def test_torus_seven_measured_form():
