@@ -15,6 +15,8 @@ even i.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -84,17 +86,31 @@ class CrossingPoint(NamedTuple):
     xy_sign: int
 
 
+# Rows the crossing-table cache holds over all (a, b), least recently used
+# first out; 4096 rows are about 1 MB.  A larger table is never stored.
+TABLE_CACHE_ROWS = 4096
+_tables: OrderedDict[tuple[int, int], tuple[tuple, ...]] = OrderedDict()
+_tables_lock = threading.Lock()
+_cached_rows = 0
+
+
 def crossing_table(a: int, b: int) -> list[tuple]:
     """All (a-1)(b-1)/2 crossings of the curve by decreasing x, as plain
     tuples with CrossingPoint's fields (h, k, m_t, m_s, t, s, xy_sign).
 
     Rows are stable-sorted on the integer x_key alone; for a >= 4 keys
-    tie and keep their (k, h) generation order.
+    tie and keep their (k, h) generation order.  Tables are cached per
+    (a, b) up to TABLE_CACHE_ROWS rows in all; each call returns a new list.
     """
+    global _cached_rows
     if a < 2 or b < 2:
         raise ChebknotError("degrees must be >= 2")
-    if gcd(a, b) != 1:
+    if gcd(a, b) != 1:  # also refuses non-integers before they meet the cache
         raise NotCoprime(f"gcd({a}, {b}) != 1")
+    with _tables_lock:
+        if (a, b) in _tables:
+            _tables.move_to_end((a, b))
+            return list(_tables[(a, b)])
     ab = a * b
     keyed: list[tuple[int, tuple]] = []
     for k in range(1, a):
@@ -109,7 +125,14 @@ def crossing_table(a: int, b: int) -> list[tuple]:
     if len(keyed) != (a - 1) * (b - 1) // 2:
         raise ChebknotError("crossing count mismatch")
     keyed.sort(key=lambda e: e[0])
-    return [row for _, row in keyed]
+    rows = [row for _, row in keyed]
+    with _tables_lock:
+        if len(rows) <= TABLE_CACHE_ROWS and (a, b) not in _tables:
+            _tables[(a, b)] = tuple(rows)
+            _cached_rows += len(rows)
+            while _cached_rows > TABLE_CACHE_ROWS:
+                _cached_rows -= len(_tables.popitem(last=False)[1])
+    return rows
 
 
 def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:

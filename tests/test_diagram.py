@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import pytest
 
 from conftest import fractions_with_crossing_number_up_to
+from chebknot import diagram
 from chebknot.bridge import canonicalize, stevedore_fraction, torus_fraction, twist_fraction
 from chebknot.contfrac import Fraction, eval_cf, expansion_length, regular_expansion
 from chebknot.diagram import (
@@ -23,6 +28,7 @@ from chebknot.diagram import (
     xy_derivative_sign,
 )
 from chebknot.errors import (
+    ChebknotError,
     InvalidForm,
     IsLink,
     LengthMismatch,
@@ -120,6 +126,94 @@ def test_enumerate_crossings_names_the_table_rows():
             for p, row in zip(points, table):
                 assert type(p) is CrossingPoint
                 assert (p.h, p.k, p.m_t, p.m_s, p.t, p.s, p.xy_sign) == row
+
+
+@pytest.fixture
+def empty_table_cache(monkeypatch):
+    """An empty crossing-table cache for one test; the shared one comes back after."""
+    monkeypatch.setattr(diagram, "_tables", OrderedDict())
+    monkeypatch.setattr(diagram, "_cached_rows", 0)
+
+
+def _held_rows() -> int:
+    held = sum(len(rows) for rows in diagram._tables.values())
+    assert held == diagram._cached_rows
+    return held
+
+
+def test_cached_tables_equal_the_reference_cold_and_warm(empty_table_cache):
+    pairs = [(a, b) for a in (3, 4, 5, 7) for b in range(2, 200) if gcd(a, b) == 1]
+    random.Random(8).shuffle(pairs)
+    for a, b in pairs:
+        assert (a, b) not in diagram._tables
+        for _visit in ("cold", "warm"):
+            assert crossing_table(a, b) == _reference_rows(a, b), (a, b)
+            assert (a, b) in diagram._tables
+        assert _held_rows() <= diagram.TABLE_CACHE_ROWS
+
+
+def test_crossing_table_returns_a_new_list_every_call(empty_table_cache):
+    first = crossing_table(3, 5)  # built and stored
+    first[0] = None
+    first.append("extra")
+    again = crossing_table(3, 5)
+    assert again == _reference_rows(3, 5)
+    assert again is not crossing_table(3, 5)
+
+
+def test_cached_table_does_not_answer_invalid_degrees(empty_table_cache):
+    crossing_table(3, 5)
+    assert (3, 5) in diagram._tables
+    with pytest.raises(TypeError):
+        crossing_table(3, 5.0)
+    with pytest.raises(TypeError):
+        enumerate_crossings(3.0, 5)
+    with pytest.raises(NotCoprime):
+        crossing_table(3, 6)
+    with pytest.raises(ChebknotError):
+        crossing_table(1, 5)
+
+
+def test_table_cache_stays_within_its_row_budget(empty_table_cache):
+    budget = diagram.TABLE_CACHE_ROWS
+    sizes = [b for b in range(1000, 3001, 200) if b % 3]
+    for b in sizes:
+        crossing_table(3, b)
+        assert _held_rows() <= budget
+    assert (3, sizes[-1]) in diagram._tables  # the newest table fitting is held
+    oversized = next(b for b in range(budget + 2, budget + 9) if b % 3)
+    assert len(crossing_table(3, oversized)) == oversized - 1 > budget
+    assert (3, oversized) not in diagram._tables
+    assert 0 < _held_rows() <= budget
+
+
+def test_table_cache_evicts_the_least_recently_used(empty_table_cache):
+    for b in (1000, 1001, 1003):  # 3001 rows
+        crossing_table(3, b)
+    crossing_table(3, 1000)  # a hit makes it the most recent
+    crossing_table(3, 1502)  # 1501 more rows: one table must go
+    assert list(diagram._tables) == [(3, 1003), (3, 1000), (3, 1502)]
+
+
+def test_concurrent_callers_see_the_single_threaded_tables(empty_table_cache):
+    degrees = [b for b in range(700, 1500, 70) if b % 3]  # far more rows than the budget
+    tables = {b: _reference_rows(3, b) for b in degrees}
+
+    def worker(i: int) -> int:
+        order = degrees[i:] + degrees[:i]
+        for b in order + order[::-1]:
+            assert crossing_table(3, b) == tables[b], b
+            assert enumerate_crossings(3, b) == tables[b], b
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert sorted(pool.map(worker, range(4), timeout=120)) == [0, 1, 2, 3]
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < _held_rows() <= diagram.TABLE_CACHE_ROWS
 
 
 def _chebyshev_derivative(n: int, t: float) -> float:
