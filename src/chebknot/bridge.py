@@ -46,10 +46,6 @@ class TwoBridgeKnot(Record):
     def crossing_number(self) -> int:
         return crossing_number(Fraction(self.alpha, self.beta))
 
-    def fraction(self) -> Fraction:
-        """Schubert fraction of the stored representative."""
-        return Fraction(self.alpha, self.beta)
-
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha,

@@ -60,8 +60,6 @@ def _cmd_expand(args: argparse.Namespace) -> None:
     frac = _parse_fraction(args.fraction)
     mirror = frac.den < 0
     body = abs(frac)
-    if not body.is_positive:
-        raise UsageError(f"{args.fraction!r} is not a nonzero rational")
     cf = regular_expansion(body)
     terms = "[" + ",".join(str(t) for t in cf.terms) + "]"
     payload: dict = {
@@ -85,7 +83,7 @@ def _cmd_diagram(args: argparse.Namespace) -> None:
     md = minimal_diagram(frac)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_diagram_svg(md.form, samples_per_lobe=args.samples))
+            fh.write(render_diagram_svg(md.form))
     payload = {
         "fraction": str(frac),
         "b": md.b,
@@ -201,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagram", help="minimal Chebyshev diagram of a knot")
     p.add_argument("fraction")
     p.add_argument("--svg", metavar="PATH", help="write an SVG rendering")
-    p.add_argument("--samples", type=int, default=64, help="samples per lobe")
     add_format(p)
     p.set_defaults(func=_cmd_diagram)
 

@@ -129,9 +129,6 @@ class Fraction(Record):
         """Odd numerator: a knot.  Even numerator: a two-component link."""
         return self.num % 2 == 1
 
-    def mirror(self) -> "Fraction":
-        return Fraction(self.num, -self.den)
-
     def __abs__(self) -> "Fraction":
         return Fraction(self.num, abs(self.den))
 
@@ -188,9 +185,6 @@ class ClassicalCF(Record):
         if any(q <= 0 for q in self.quotients):
             raise ZeroQuotient("classical quotients must be positive")
 
-    def fraction(self) -> Fraction:
-        return eval_cf(self.quotients)
-
 
 def eval_cf(quotients: Sequence[int]) -> Fraction:
     """Evaluate [q1, q2, ..., qn] = q1 + 1/(q2 + 1/(... + 1/qn)) exactly."""
@@ -222,7 +216,7 @@ def eval_cf_projective(quotients: Sequence[int]) -> tuple[int, int]:
 
 
 def classical_expansion(r: Fraction) -> ClassicalCF:
-    """Positive-quotient expansion of r > 1, last quotient >= 2 by default."""
+    """Positive-quotient expansion of r > 1; the last quotient is >= 2."""
     if not (r.is_positive and r > 1):
         raise NotGreaterThanOne(f"{r} is not > 1")
     a, b = r.num, r.den

@@ -157,12 +157,6 @@ class ConwayForm(Record):
         except NotOneRegular as exc:
             raise InvalidForm(str(exc)) from exc
 
-    def fraction(self) -> Fraction:
-        return eval_cf(self.signs)
-
-    def negated(self) -> "ConwayForm":
-        return ConwayForm(tuple(-s for s in self.signs), self.b)
-
     def text(self) -> str:
         return "C(" + ",".join(str(s) for s in self.signs) + ")"
 

@@ -22,7 +22,6 @@ from .errors import (
     ChebknotError,
     IndexOutOfRange,
     IsLink,
-    NotCoprime,
     NotPairwiseCoprime,
     TrivialKnot,
 )
@@ -129,9 +128,6 @@ class CanonicalHarmonic:
     def amphicheiral(self) -> bool:
         return is_amphicheiral(self.fraction.num, self.fraction.den)
 
-    def conway_form(self) -> ConwayForm:
-        return harmonic_conway(self.b_prime, (2 * self.b_prime - self.c_prime) // 3)
-
     def to_json(self) -> dict:
         return {
             "a": self.spec.a,
@@ -161,8 +157,6 @@ def classify(spec: HarmonicSpec) -> CanonicalHarmonic:
         raise TrivialKnot(f"H({spec.a}, {spec.b}, {spec.c}) is the unknot")
     if spec.a != 3:
         raise ADifferentFrom3("classification is implemented for a = 3")
-    if gcd(spec.b, 3) != 1 or gcd(spec.c, 3) != 1 or gcd(spec.b, spec.c) != 1:
-        raise NotCoprime(f"({spec.b}, {spec.c}) not admissible with a = 3")
     b, c = spec.b, spec.c
     mirror = False
     while True:

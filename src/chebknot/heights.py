@@ -36,7 +36,7 @@ class FloatHeight(NamedTuple):
         """Sign of z(t) - z(s), with |z(t) - z(s)| as its margin."""
         zt, zs = self.z(t), self.z(s)
         separation = abs(zt - zs)
-        if separation < SEPARATION_FLOOR:
+        if not separation >= SEPARATION_FLOOR:  # NaN fails too
             raise AmbiguousCrossing(
                 f"|z(t)-z(s)| = {separation:.3e} below floor {SEPARATION_FLOOR:.3e} "
                 f"at crossing {(h, k)}"
@@ -98,6 +98,8 @@ class HeightPolynomial(Record):
 
     def __init__(self, roots: Sequence[float], leading_sign: int) -> None:
         object.__setattr__(self, "roots", tuple(sorted(roots)))
+        if not all(map(math.isfinite, self.roots)):
+            raise ChebknotError("roots must be finite")
         if leading_sign not in (1, -1):
             raise ChebknotError("leading sign must be +1 or -1")
         object.__setattr__(self, "leading_sign", leading_sign)
@@ -197,10 +199,6 @@ class Parametrization(Record):
         object.__setattr__(self, "crossing_number", crossing_number)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "mirrored", mirrored)
-
-    @property
-    def a(self) -> int:
-        return 3
 
     def to_json(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
 from .contfrac import eval_cf_projective, Fraction, Record
 from .diagram import crossing_table, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
-from .heights import SEPARATION_FLOOR, FloatHeight, Parametrization  # noqa: F401 (the floor is re-exported)
+from .heights import FloatHeight, Parametrization
 from .trig import chebyshev, sin_sign
 
 
@@ -27,8 +27,8 @@ class ChebyshevHeight(Record):
     __slots__ = ("c", "sign")
 
     def __init__(self, c: int, sign: int = 1) -> None:
-        if sign not in (1, -1) or c < 1:
-            raise ChebknotError(f"need c >= 1 and sign +1 or -1, not ({c}, {sign})")
+        if not isinstance(c, int) or c < 1 or sign not in (1, -1):
+            raise ChebknotError(f"need an integer c >= 1 and sign +1 or -1, not ({c}, {sign})")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "sign", sign)
 

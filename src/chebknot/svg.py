@@ -10,9 +10,10 @@ from .trig import chebyshev
 
 SIZE = 560  # px, square frame
 MARGIN = 30  # px around the curve's [-1, 1]^2 box
+SAMPLES_PER_LOBE = 64  # polyline points per unit of b
 
 
-def render_diagram_svg(form: ConwayForm, samples_per_lobe: int = 64) -> str:
+def render_diagram_svg(form: ConwayForm) -> str:
     """Polyline approximation of (T_3(t), T_b(t)) with the under-strand
     broken around each undercrossing parameter."""
     b = form.b
@@ -29,7 +30,7 @@ def render_diagram_svg(form: ConwayForm, samples_per_lobe: int = 64) -> str:
         half = 0.38 * min(abs(u - p) for p in others) if others else 0.05
         windows.append((u - half, u + half))
 
-    n = max(8, samples_per_lobe) * b
+    n = SAMPLES_PER_LOBE * b
     span = SIZE - 2 * MARGIN
 
     def to_px(x: float, y: float) -> tuple[float, float]:

@@ -210,6 +210,15 @@ def test_separation_floor_raises_for_degenerate_height():
         measure_crossings(3, 4, lambda t: 0.0)
 
 
+def test_nan_height_is_ambiguous():
+    # NaN compares False with everything, so it must not pass the floor
+    def z(t):
+        return math.nan
+
+    with pytest.raises(AmbiguousCrossing):
+        measure_crossings(3, 4, z)
+
+
 def test_chebyshev_height_shared_factor_is_ambiguous():
     with pytest.raises(AmbiguousCrossing):
         measure_crossings(3, 10, ChebyshevHeight(5))  # gcd(5, 10) > 1
@@ -293,9 +302,27 @@ def test_root_at_a_crossing_parameter_is_ambiguous():
     measure_crossings(3, 7, HeightPolynomial((-0.5, t + 2 * PARAMETER_ERROR), 1))
 
 
+# sorted() leaves (0.1, nan) unordered, and the root count relies on the order
+@pytest.mark.parametrize(
+    "roots",
+    [(math.nan,), (math.inf,), (-math.inf,), (0.1, math.nan)],
+    ids=["nan", "inf", "-inf", "nan-after-0.1"],
+)
+def test_height_polynomial_refuses_a_root_that_is_not_finite(roots):
+    with pytest.raises(ChebknotError):
+        HeightPolynomial(roots, 1)
+
+
 def test_chebyshev_height_checks_its_input():
     for c, sign in ((7, 2), (7, 0), (0, 1), (-5, 1)):
         with pytest.raises(ChebknotError) as info:
             ChebyshevHeight(c, sign)
         assert not isinstance(info.value, AmbiguousCrossing)
     assert measure_crossings(3, 5, ChebyshevHeight(7, sign=-1)).conway_signs == (-1, -1, -1, -1)
+
+
+def test_chebyshev_height_needs_an_integer_degree():
+    # the sine identity behind decide_crossing holds for integer c only
+    for c in (5.5, 7.0):
+        with pytest.raises(ChebknotError):
+            ChebyshevHeight(c)
