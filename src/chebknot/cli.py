@@ -82,8 +82,11 @@ def _cmd_diagram(args: argparse.Namespace) -> None:
     frac = _knot_fraction(args.fraction)
     md = minimal_diagram(frac)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_diagram_svg(md.form))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render_diagram_svg(md.form))
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.svg!r}: {exc.strerror}") from exc
     payload = {
         "fraction": str(frac),
         "b": md.b,
@@ -120,19 +123,22 @@ def _cmd_harmonic(args: argparse.Namespace) -> None:
 
 def _cmd_atlas(args: argparse.Namespace) -> None:
     records = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for b in range(2, args.b_max + 1):
-            if b % 3 == 0:
-                continue
-            for c in range(2, args.c_max + 1):
-                if c % 3 == 0 or gcd(b, c) != 1:
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for b in range(2, args.b_max + 1):
+                if b % 3 == 0:
                     continue
-                try:
-                    canon = classify(HarmonicSpec(3, b, c))
-                except TrivialKnot:
-                    continue
-                fh.write(json.dumps(canon.to_json()) + "\n")
-                records += 1
+                for c in range(2, args.c_max + 1):
+                    if c % 3 == 0 or gcd(b, c) != 1:
+                        continue
+                    try:
+                        canon = classify(HarmonicSpec(3, b, c))
+                    except TrivialKnot:
+                        continue
+                    fh.write(json.dumps(canon.to_json()) + "\n")
+                    records += 1
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     _emit(
         args,
         f"wrote {records} records to {args.out}",

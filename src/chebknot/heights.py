@@ -100,7 +100,7 @@ class HeightPolynomial(Record):
         object.__setattr__(self, "roots", tuple(sorted(roots)))
         if not all(map(math.isfinite, self.roots)):
             raise ChebknotError("roots must be finite")
-        if leading_sign not in (1, -1):
+        if type(leading_sign) is not int or leading_sign not in (1, -1):
             raise ChebknotError("leading sign must be +1 or -1")
         object.__setattr__(self, "leading_sign", leading_sign)
 
@@ -137,13 +137,10 @@ class HeightPolynomial(Record):
 
     @property
     def is_odd_symmetric(self) -> bool:
-        """Root multiset symmetric about 0, with 0 a root iff the degree
-        is odd; such a product is an odd polynomial."""
-        zeros = sum(1 for r in self.roots if r == 0.0)
-        if zeros != self.degree % 2:
-            return False
-        nonzero = sorted(r for r in self.roots if r != 0.0)
-        return all(nonzero[i] == -nonzero[-1 - i] for i in range(len(nonzero) // 2 + len(nonzero) % 2))
+        """Odd degree and a root multiset symmetric about 0 (so 0 is a
+        root): exactly when the product is an odd polynomial."""
+        r = self.roots  # sorted
+        return len(r) % 2 == 1 and all(r[i] == -r[-1 - i] for i in range(len(r) // 2 + 1))
 
     def factored_text(self, digits: int = 6) -> str:
         parts = []

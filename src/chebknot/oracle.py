@@ -27,7 +27,7 @@ class ChebyshevHeight(Record):
     __slots__ = ("c", "sign")
 
     def __init__(self, c: int, sign: int = 1) -> None:
-        if not isinstance(c, int) or c < 1 or sign not in (1, -1):
+        if type(c) is not int or c < 1 or type(sign) is not int or sign not in (1, -1):
             raise ChebknotError(f"need an integer c >= 1 and sign +1 or -1, not ({c}, {sign})")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "sign", sign)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from .diagram import ConwayForm
 from .heights import gauss_sequence
 from .trig import chebyshev
@@ -17,18 +15,16 @@ def render_diagram_svg(form: ConwayForm) -> str:
     """Polyline approximation of (T_3(t), T_b(t)) with the under-strand
     broken around each undercrossing parameter."""
     b = form.b
-    g = gauss_sequence(form)
-    params = sorted(g.parameters)
-    under = sorted(p for p, s in g.events if s < 0)
+    events = gauss_sequence(form).events[::-1]  # 2(b-1) >= 2 distinct parameters, increasing
 
     # Each gap is 0.38 of the distance to the nearest other parameter, so
-    # the windows are disjoint and, like under, increasing.
+    # the windows are disjoint and, like the parameters, increasing.
     windows = []
-    for u in under:
-        lo, hi = bisect_left(params, u), bisect_right(params, u)
-        others = params[lo - 1 : lo] + params[hi : hi + 1]
-        half = 0.38 * min(abs(u - p) for p in others) if others else 0.05
-        windows.append((u - half, u + half))
+    for i, (u, sign) in enumerate(events):
+        if sign < 0:
+            others = events[i - 1 : i] + events[i + 1 : i + 2]
+            half = 0.38 * min(abs(u - p) for p, _ in others)
+            windows.append((u - half, u + half))
 
     n = SAMPLES_PER_LOBE * b
     span = SIZE - 2 * MARGIN

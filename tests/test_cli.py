@@ -70,6 +70,13 @@ def test_diagram_text_and_svg(tmp_path, capsys):
     assert len(paths) == 6
 
 
+def test_diagram_svg_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.svg"
+    code, out, err = run(capsys, "diagram", "9/2", "--svg", str(path))
+    assert code == 2
+    assert out == "" and "usage" in err and f"cannot write {str(path)!r}" in err
+
+
 def test_diagram_json(capsys):
     code, out, _ = run(capsys, "diagram", "9/7", "--format", "json")
     rec = json.loads(out)
@@ -140,6 +147,12 @@ def test_atlas_deterministic_and_sorted(tmp_path, capsys):
     # spot check: the figure-eight pair is present and amphicheiral
     rec = next(r for r in records if (r["b"], r["c"]) == (5, 7))
     assert rec["alpha"] == 5 and rec["amphicheiral"]
+
+
+def test_atlas_to_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "atlas", "--b-max", "5", "--c-max", "5", "--out", str(tmp_path))
+    assert code == 2
+    assert out == "" and "usage" in err and f"cannot write {str(tmp_path)!r}" in err
 
 
 def test_verify_verb(capsys):

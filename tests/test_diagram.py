@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
@@ -131,14 +130,11 @@ def test_enumerate_crossings_names_the_table_rows():
 @pytest.fixture
 def empty_table_cache(monkeypatch):
     """An empty crossing-table cache for one test; the shared one comes back after."""
-    monkeypatch.setattr(diagram, "_tables", OrderedDict())
-    monkeypatch.setattr(diagram, "_cached_rows", 0)
+    monkeypatch.setattr(diagram, "_tables", {})
 
 
 def _held_rows() -> int:
-    held = sum(len(rows) for rows in diagram._tables.values())
-    assert held == diagram._cached_rows
-    return held
+    return sum(len(rows) for rows in diagram._tables.values())
 
 
 def test_cached_tables_equal_the_reference_cold_and_warm(empty_table_cache):
@@ -187,12 +183,13 @@ def test_table_cache_stays_within_its_row_budget(empty_table_cache):
     assert 0 < _held_rows() <= budget
 
 
-def test_table_cache_evicts_the_least_recently_used(empty_table_cache):
+def test_a_table_that_would_overflow_the_budget_empties_the_cache(empty_table_cache):
     for b in (1000, 1001, 1003):  # 3001 rows
         crossing_table(3, b)
-    crossing_table(3, 1000)  # a hit makes it the most recent
-    crossing_table(3, 1502)  # 1501 more rows: one table must go
-    assert list(diagram._tables) == [(3, 1003), (3, 1000), (3, 1502)]
+    crossing_table(3, 1000)  # a hit
+    crossing_table(3, 1502)  # 1501 more rows would overflow the budget
+    assert list(diagram._tables) == [(3, 1502)]
+    assert _held_rows() == 1501
 
 
 def test_concurrent_callers_see_the_single_threaded_tables(empty_table_cache):

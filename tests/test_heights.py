@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from math import gcd
 
 import pytest
@@ -200,6 +201,17 @@ def test_amphicheiral_oddness_large():
     assert p.crossing_number == 1200
     assert p.b % 2 == 1
     assert p.height.is_odd_symmetric
+
+
+@pytest.mark.parametrize(
+    "roots, odd",
+    [((-1.0, 1.0), False), ((), False), ((-1.0, 0.0, 0.0, 0.0, 1.0), True)],
+    ids=["t^2-1", "constant", "t^3(t^2-1)"],
+)
+def test_is_odd_symmetric_means_an_odd_polynomial(roots, odd):
+    poly = HeightPolynomial(roots, 1)
+    assert math.isclose(poly(-0.3), -poly(0.3)) is odd
+    assert poly.is_odd_symmetric is odd
 
 
 def test_factored_text():

@@ -313,8 +313,13 @@ def test_height_polynomial_refuses_a_root_that_is_not_finite(roots):
         HeightPolynomial(roots, 1)
 
 
+def test_height_polynomial_refuses_a_bool_leading_sign():
+    with pytest.raises(ChebknotError):
+        HeightPolynomial((0.1,), True)
+
+
 def test_chebyshev_height_checks_its_input():
-    for c, sign in ((7, 2), (7, 0), (0, 1), (-5, 1)):
+    for c, sign in ((7, 2), (7, 0), (0, 1), (-5, 1), (5, True)):
         with pytest.raises(ChebknotError) as info:
             ChebyshevHeight(c, sign)
         assert not isinstance(info.value, AmbiguousCrossing)
@@ -322,7 +327,8 @@ def test_chebyshev_height_checks_its_input():
 
 
 def test_chebyshev_height_needs_an_integer_degree():
-    # the sine identity behind decide_crossing holds for integer c only
-    for c in (5.5, 7.0):
+    # the sine identity behind decide_crossing holds for integer c only;
+    # True would build T_1 and label it T_True
+    for c in (5.5, 7.0, True):
         with pytest.raises(ChebknotError):
             ChebyshevHeight(c)
