@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Verbs: expand, diagram, param, harmonic, atlas, verify, family.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error.  With --format json
+an error after the command line is read goes to stderr as one JSON object,
+{"error": <exception class>, "message": <text>}.
 """
 
 from __future__ import annotations
@@ -249,13 +251,16 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"chebknot: error: {exc}", file=sys.stderr)
-        return 2
-    except ChebknotError as exc:
-        print(f"chebknot: {exc}", file=sys.stderr)
-        return 1
+    except (UsageError, ChebknotError) as exc:
+        usage = isinstance(exc, UsageError)
+        if args.format == "json":
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        elif usage:
+            parser.print_usage(sys.stderr)
+            print(f"chebknot: error: {exc}", file=sys.stderr)
+        else:
+            print(f"chebknot: {exc}", file=sys.stderr)
+        return 2 if usage else 1
     return 0
 
 

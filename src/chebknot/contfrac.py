@@ -143,13 +143,12 @@ def _validate_one_regular(terms: Sequence[int]) -> None:
     n = len(terms)
     if n == 0:
         raise EmptySequence("empty sign sequence")
-    if any(t not in (1, -1) for t in terms):
+    if terms.count(1) + terms.count(-1) != n:
         raise NotOneRegular("terms must all be +1 or -1")
     if n >= 2 and terms[-1] * terms[-2] < 0:
         raise NotOneRegular("last two terms must have equal sign")
-    for i in range(n - 2):
-        if terms[i] * terms[i + 1] < 0 and terms[i + 1] * terms[i + 2] < 0:
-            raise NotOneRegular("two consecutive sign changes")
+    if any(x != y != z for x, y, z in zip(terms, terms[1:], terms[2:])):
+        raise NotOneRegular("two consecutive sign changes")
 
 
 class RegularCF(Record):

@@ -19,7 +19,7 @@ import threading
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .contfrac import Fraction, Record, crossing_number, eval_cf, regular_expansion
+from .contfrac import Fraction, Record, cn_from_regular, crossing_number, eval_cf, regular_expansion
 from .contfrac import _pgp_inner, _validate_one_regular
 from .errors import (
     ChebknotError,
@@ -98,9 +98,11 @@ def crossing_table(a: int, b: int) -> list[tuple]:
     """All (a-1)(b-1)/2 crossings of the curve by decreasing x, as plain
     tuples with CrossingPoint's fields (h, k, m_t, m_s, t, s, xy_sign).
 
-    Rows are stable-sorted on the integer x_key alone; for a >= 4 keys
-    tie and keep their (k, h) generation order.  Tables are cached per
-    (a, b) up to TABLE_CACHE_ROWS rows in all; each call returns a new list.
+    Rows are in increasing order of the integer x_key.  For a = 3 the keys
+    are a permutation of 1..b-1 and each row goes straight to its slot;
+    for a >= 4 keys tie, and a stable sort keeps their (k, h) generation
+    order.  Tables are cached per (a, b) up to TABLE_CACHE_ROWS rows in
+    all; each call returns a new list.
     """
     if a < 2 or b < 2:
         raise ChebknotError("degrees must be >= 2")
@@ -110,18 +112,23 @@ def crossing_table(a: int, b: int) -> list[tuple]:
     if cached is not None:
         return list(cached)
     ab = a * b
-    rows: list[tuple] = []
+    rows: list = [None] * (b - 1) if a == 3 else []
     for k in range(1, a):
         for h in range(1, (ab - k * b - 1) // a + 1):  # k*b + a*h < a*b
             m_t, m_s = k * b + a * h, abs(k * b - a * h)
-            rows.append((
+            row = (
                 h, k, m_t, m_s,
                 parameter_value(m_t, ab), parameter_value(m_s, ab),
                 xy_derivative_sign(a, b, h, k),
-            ))
-    if len(rows) != (a - 1) * (b - 1) // 2:
+            )
+            if a == 3:  # the b - 1 keys are 1..b-1 in some order: a slot each
+                rows[x_key(3, b, h, k) - 1] = row
+            else:
+                rows.append(row)
+    if a != 3:
+        rows.sort(key=lambda row: x_key(a, b, row[0], row[1]))
+    if len(rows) != (a - 1) * (b - 1) // 2 or None in rows:
         raise ChebknotError("crossing count mismatch")
-    rows.sort(key=lambda row: x_key(a, b, row[0], row[1]))
     with _tables_lock:
         if len(rows) <= TABLE_CACHE_ROWS and (a, b) not in _tables:
             if sum(map(len, _tables.values())) + len(rows) > TABLE_CACHE_ROWS:
@@ -172,24 +179,35 @@ def minimal_diagram(r: Fraction) -> MinimalDiagram:
     alpha/(alpha - beta); when the latter wins, its negated expansion is a
     diagram of the same knot and the mirrored flag records the detour.
     """
+    return _minimal_diagram(r)[0]
+
+
+def _minimal_diagram(r: Fraction) -> tuple[MinimalDiagram, int]:
+    """minimal_diagram(r) with the crossing number N of S(r).
+
+    The two expansion lengths add up to 3N - 2, so the conjugate
+    expansion is built only when it is the shorter one.
+    """
     if not (r.is_positive and r > 1):
         raise NotGreaterThanOne(f"{r} is not > 1")
     if r.num % 2 == 0:
         raise IsLink("links have no C(3, b) diagram (b would be divisible by 3)")
     own = regular_expansion(r)
-    conj = regular_expansion(Fraction(r.num, r.num - r.den))
-    if len(own) == len(conj):
-        raise ChebknotError("expansion lengths can never agree for a knot")
-    if len(own) < len(conj):
+    n_cross = cn_from_regular(own)
+    # one length is 0 and the other 1 mod 3 (parity_class), so they never tie
+    other = 3 * n_cross - 2 - len(own)
+    if len(own) < other:
         form = ConwayForm(own.terms, len(own) + 1)
         mirrored = False
     else:
-        form = ConwayForm(tuple(-t for t in conj.terms), len(conj) + 1)
+        conj = regular_expansion(Fraction(r.num, r.num - r.den))
+        if len(conj) != other:
+            raise ChebknotError(f"expansion lengths of {r} do not add up to 3N - 2")
+        form = ConwayForm(tuple(-t for t in conj.terms), other + 1)
         mirrored = True
-    n_cross = crossing_number(r)
     if not (n_cross < form.b and 2 * form.b < 3 * n_cross):
         raise ChebknotError(f"diagram degree bound violated for {r}")
-    return MinimalDiagram(form, form.b, mirrored)
+    return MinimalDiagram(form, form.b, mirrored), n_cross
 
 
 def is_minimal_by_word(r: Fraction) -> bool:

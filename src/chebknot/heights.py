@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
-from .contfrac import Fraction, Record, crossing_number, is_amphicheiral
-from .diagram import PARAMETER_ERROR, ConwayForm, MinimalDiagram, crossing_table
-from .diagram import minimal_diagram, twist_sign
+from .contfrac import Fraction, Record, is_amphicheiral
+from .diagram import PARAMETER_ERROR, ConwayForm, _minimal_diagram, crossing_table, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
 
 # Smallest |z(t) - z(s)| the float rule accepts.
@@ -46,12 +46,21 @@ class FloatHeight(NamedTuple):
 
 class GaussSequence(Record):
     """Over/under signs (+1 over, -1 under) at the crossing parameters,
-    listed from the largest parameter to the smallest."""
+    listed from the largest parameter to the smallest.
 
-    __slots__ = ("events",)
+    A sequence built on the diagram C(3, b) also keeps b and, in ms, the
+    integer m of each event, whose parameter is cos(m*pi/3b).
+    """
 
-    def __init__(self, events: tuple[tuple[float, int], ...]) -> None:
+    __slots__ = ("events", "b", "ms")
+
+    def __init__(self, events: tuple[tuple[float, int], ...], b: int | None = None,
+                 ms: tuple[int, ...] | None = None) -> None:
         object.__setattr__(self, "events", events)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "ms", ms)
+        if (b is None) != (ms is None) or (ms is not None and len(ms) != len(events)):
+            raise ChebknotError("need b and one m per event, or neither")
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -72,18 +81,19 @@ def gauss_sequence(form: ConwayForm) -> GaussSequence:
     of z(t) - z(s) at that crossing through the right-twist criterion
     D = (z(t) - z(s)) x'(t) y'(t) > 0.
     """
-    b = form.b
+    b, signs = form.b, form.signs
     # Every m in 1..3b-1 that neither 3 nor b divides is the m_t or m_s of
     # exactly one crossing, so the events are placed by m with no sort.
     slots: list = [None] * (3 * b)
+    at: list = [0] * (3 * b)  # at[m] = m for the events, 0 elsewhere
     for i, (_, _, m_t, m_s, t, s, xy) in enumerate(crossing_table(3, b)):
-        zdiff = twist_sign(i, form.signs[i]) * xy
-        slots[m_t] = (t, zdiff)
-        slots[m_s] = (s, -zdiff)
-    events = tuple(e for e in slots if e is not None)  # increasing m: decreasing parameter
-    if len(events) != 2 * (b - 1):
+        zdiff = twist_sign(i, signs[i]) * xy
+        slots[m_t], at[m_t] = (t, zdiff), m_t
+        slots[m_s], at[m_s] = (s, -zdiff), m_s
+    ms = tuple(filter(None, at))  # increasing m: decreasing parameter
+    if len(ms) != 2 * (b - 1):
         raise ChebknotError("crossing parameters are not distinct")
-    return GaussSequence(events)
+    return GaussSequence(tuple(filter(None, slots)), b, ms)
 
 
 def count_sign_changes(g: GaussSequence) -> int:
@@ -92,17 +102,34 @@ def count_sign_changes(g: GaussSequence) -> int:
 
 
 class HeightPolynomial(Record):
-    """Real polynomial stored as leading sign times a product of (t - r)."""
+    """Real polynomial stored as leading sign times a product of (t - r).
 
-    __slots__ = ("roots", "leading_sign")
+    A height built on the diagram C(3, b) by build_height also keeps b
+    and, in gaps, one integer per root, in increasing order: the m of the
+    Gauss event that opens the gap between consecutive event parameters
+    in which the root sits.  A gap g puts its root below the parameter
+    cos(m*pi/3b) of every event m <= g and above every other one, so the
+    sign at an event is a count of gaps; roots is their float rendering.
+    """
 
-    def __init__(self, roots: Sequence[float], leading_sign: int) -> None:
+    __slots__ = ("roots", "leading_sign", "b", "gaps")
+
+    def __init__(self, roots: Sequence[float], leading_sign: int, b: int | None = None,
+                 gaps: Sequence[int] | None = None) -> None:
         object.__setattr__(self, "roots", tuple(sorted(roots)))
         if not all(map(math.isfinite, self.roots)):
             raise ChebknotError("roots must be finite")
         if type(leading_sign) is not int or leading_sign not in (1, -1):
             raise ChebknotError("leading sign must be +1 or -1")
         object.__setattr__(self, "leading_sign", leading_sign)
+        if gaps is not None:
+            gaps = tuple(sorted(gaps))
+            if type(b) is not int or b < 2 or b % 3 == 0 or len(gaps) != len(self.roots):
+                raise ChebknotError("need a degree b >= 2 prime to 3 and one gap per root")
+        elif b is not None:
+            raise ChebknotError("a degree b needs gaps")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "gaps", gaps)
 
     @property
     def degree(self) -> int:
@@ -117,21 +144,44 @@ class HeightPolynomial(Record):
     def label(self) -> str:
         return "z"
 
+    def zdiff_signs(self, a: int, b: int, rows: Sequence[tuple]) -> list[int]:
+        """decide_crossing's sign of z(t) - z(s) at each crossing_table row
+        of C(a, b), without the margins."""
+        if b != self.b or a != 3:  # b is None exactly when gaps is
+            return [self.decide_crossing(a, b, h, k, t, s)[0] for h, k, _, _, t, s, _ in rows]
+        gaps, lead, signs = self.gaps, self.leading_sign, []
+        for h, k, m_t, m_s, _, _, _ in rows:
+            above = bisect_left(gaps, m_t)
+            if (above - bisect_left(gaps, m_s)) % 2 == 0:
+                raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")
+            signs.append(lead if above % 2 == 0 else -lead)
+        return signs
+
     def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
         """Sign of z(t) - z(s) from root counts, with the distance from t or s
         to the nearest root as its margin.  z has the sign leading_sign *
-        (-1)^(roots above p) at p, and at the true crossing parameter too
-        unless a root lies within PARAMETER_ERROR of p.  Strands of opposite
-        signs are ordered by z(t); strands of one sign by the float rule."""
+        (-1)^(roots above p) at p.  On its own C(3, b) a height with gaps
+        counts them exactly, bisect_left(gaps, m) roots above the event m,
+        and refuses strands of one sign.  Otherwise it counts its float
+        roots, which holds at the true crossing parameter too unless a root
+        lies within PARAMETER_ERROR of p; strands of opposite signs are
+        ordered by z(t), strands of one sign by the float rule."""
         roots, n = self.roots, len(self.roots)
-        i, j = bisect_left(roots, t), bisect_left(roots, s)  # roots[i - 1] < t <= roots[i]
+        exact = b == self.b and a == 3  # b is None exactly when gaps is
+        if exact:  # roots below t and below s
+            i = n - bisect_left(self.gaps, k * b + 3 * h)
+            j = n - bisect_left(self.gaps, abs(k * b - 3 * h))
+        else:
+            i, j = bisect_left(roots, t), bisect_left(roots, s)  # roots[i - 1] < t <= roots[i]
         margin = min(
             t - roots[i - 1] if i else math.inf, roots[i] - t if i < n else math.inf,
             s - roots[j - 1] if j else math.inf, roots[j] - s if j < n else math.inf,
         )
-        if margin <= PARAMETER_ERROR:
+        if not exact and margin <= PARAMETER_ERROR:
             raise AmbiguousCrossing(f"a root of z lies within {margin:.1e} of t or s at crossing {(h, k)}")
         if (i - j) % 2 == 0:
+            if exact:
+                raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")
             return FloatHeight(self).decide_crossing(a, b, h, k, t, s)
         return (self.leading_sign if (n - i) % 2 == 0 else -self.leading_sign), margin
 
@@ -160,28 +210,25 @@ def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomi
 
     Roots sit at gap midpoints, so the sign at every crossing parameter
     matches the Gauss sign; the leading sign is anchored at the event with
-    the largest parameter.  For amphicheiral inputs the events are
-    symmetric and the Gauss signs odd, which makes the root set symmetric
-    about 0 and the polynomial odd.
+    the largest parameter.  On a C(3, b) sequence each root also records
+    the m of the event that opens its gap.  For amphicheiral inputs the
+    events are symmetric (m_i + m_{-1-i} = 3b) and the Gauss signs odd,
+    which makes the root set symmetric about 0 and the polynomial odd.
     """
     if not g.events:
         raise EmptySequence("empty Gauss sequence")
     events = g.events  # decreasing parameter
-    roots = [
-        (events[i][0] + events[i + 1][0]) / 2.0
-        for i in range(len(events) - 1)
-        if events[i][1] * events[i + 1][1] < 0
-    ]
-    poly = HeightPolynomial(tuple(roots), events[0][1])
+    changes = [e[1] * f[1] < 0 for e, f in zip(events, events[1:])]
+    roots = [(e[0] + f[0]) / 2.0 for e, f in compress(zip(events, events[1:]), changes)]
+    gaps = None if g.ms is None else compress(g.ms, changes)
     if amphicheiral:
-        params, signs = g.parameters, g.signs
-        odd = all(
-            params[i] == -params[-1 - i] and signs[i] == -signs[-1 - i]
-            for i in range(len(params))
-        )
-        if not (odd and poly.is_odd_symmetric):
+        signs = g.signs
+        keys, total = (g.parameters, 0.0) if g.ms is None else (g.ms, 3 * g.b)
+        if not (len(roots) % 2 == 1 and all(
+            keys[i] + keys[-1 - i] == total and signs[i] == -signs[-1 - i] for i in range(len(keys))
+        )):
             raise ChebknotError("amphicheiral input did not give an odd height")
-    return poly
+    return HeightPolynomial(roots, events[0][1], g.b, gaps)
 
 
 class Parametrization(Record):
@@ -214,10 +261,9 @@ def parametrization(r: Fraction) -> Parametrization:
     """
     if r.is_positive and not r.is_knot:
         raise IsLink(f"{r} defines a two-component link")
-    md: MinimalDiagram = minimal_diagram(r)
+    md, n_cross = _minimal_diagram(r)
     g = gauss_sequence(md.form)
     height = build_height(g, amphicheiral=is_amphicheiral(r.num, r.den))
-    n_cross = crossing_number(r)
     if md.b + height.degree != 3 * n_cross:
         raise ChebknotError(f"degree identity violated for {r}")
     return Parametrization(md.b, height, n_cross, md.form, md.mirrored)

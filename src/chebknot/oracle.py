@@ -3,15 +3,16 @@
 Given any height function z over the diagram x = T_a(t), y = T_b(t), this
 module decides every crossing from the closed-form parameter pairs: no
 root finding, no intersection search.  Each height type decides its own
-crossings: Chebyshev heights by exact integer trigonometry, height
-polynomials by counting their roots above each parameter, and any other
-callable in floating point behind a separation floor.
+crossings: Chebyshev heights by exact integer trigonometry, constructed
+height polynomials by counting their root gaps in integers, other height
+polynomials by counting their float roots above each parameter, and any
+other callable in floating point behind a separation floor.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
 from .contfrac import eval_cf_projective, Fraction, Record
@@ -133,7 +134,11 @@ def recover_knot(sample: CurveSample) -> TwoBridgeKnot:
     """
     if sample.a != 3:
         raise NotTwoBridge("diagram recovery requires a = 3")
-    p, q = eval_cf_projective(sample.conway_signs)
+    return _knot_of_twist_signs(sample.conway_signs)
+
+
+def _knot_of_twist_signs(signs: Sequence[int]) -> TwoBridgeKnot:
+    p, q = eval_cf_projective(signs)
     if q == 0 or abs(p) <= 1:
         raise TrivialKnot(
             f"measured signs evaluate to the degenerate point ({p}, {q}): the unknot"
@@ -154,6 +159,11 @@ def verify_parametrization(r: Fraction, p: Parametrization) -> bool:
     The diagram emitted for r represents S(r) itself even when the
     mirrored flag is set (the negated conjugate expansion evaluates to an
     equivalent fraction), so the recovered knot must compare as the same.
+    Only the twist signs are measured (the conway_signs of
+    measure_crossings), with no per-crossing record.
     """
-    sample = measure_crossings(3, p.b, p.height)
-    return reproduces(r, recover_knot(sample))
+    rows = crossing_table(3, p.b)
+    zdiffs = p.height.zdiff_signs(3, p.b, rows)
+    signs = [twist_sign(i, zdiff * xy)
+             for i, (zdiff, (_, _, _, _, _, _, xy)) in enumerate(zip(zdiffs, rows))]
+    return reproduces(r, _knot_of_twist_signs(signs))

@@ -10,6 +10,8 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
 import chebknot
 from chebknot.cli import main
 from chebknot.harmonic import HarmonicSpec, classify
@@ -107,6 +109,38 @@ def test_param_rejects_link(capsys):
     code, _, err = run(capsys, "param", "4/1")
     assert code == 1
     assert "link" in err
+
+
+# With --format json an error is one object on stderr and nothing on stdout;
+# the exit codes are those of the text format.
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (("expand", "spam"), 2, "UsageError"),
+        (("expand", "0/1"), 2, "UsageError"),
+        (("param", "4/1"), 1, "IsLink"),
+        (("verify", "3/3"), 2, "UsageError"),
+        (("harmonic", "3", "4", "7"), 1, "TrivialKnot"),
+        (("harmonic", "3", "6", "7"), 1, "NotPairwiseCoprime"),
+        (("family", "torus", "0"), 1, "IndexOutOfRange"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_json_errors_are_one_object_on_stderr(capsys, argv, code, error):
+    got, out, err = run(capsys, *argv, "--format", "json")
+    assert (got, out) == (code, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    rec = json.loads(err)
+    assert set(rec) == {"error", "message"} and rec["error"] == error
+    assert isinstance(rec["message"], str) and rec["message"]
+    text_code, _, text_err = run(capsys, *argv)
+    assert text_code == code and rec["message"] in text_err
+
+
+def test_json_error_for_an_unwritable_svg_path(tmp_path, capsys):
+    code, out, err = run(capsys, "diagram", "9/2", "--svg", str(tmp_path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "UsageError"
 
 
 def test_harmonic_verb(capsys):

@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from conftest import fractions_with_crossing_number_up_to
+from conftest import classical_euclid_oracle, fractions_with_crossing_number_up_to
 from chebknot import diagram
 from chebknot.bridge import canonicalize, stevedore_fraction, torus_fraction, twist_fraction
 from chebknot.contfrac import Fraction, eval_cf, expansion_length, regular_expansion
@@ -125,6 +125,21 @@ def test_enumerate_crossings_names_the_table_rows():
             for p, row in zip(points, table):
                 assert type(p) is CrossingPoint
                 assert (p.h, p.k, p.m_t, p.m_s, p.t, p.s, p.xy_sign) == row
+
+
+def test_a3_keys_are_a_permutation_so_slots_equal_the_sort():
+    # crossing_table(3, b) puts each row at slot x_key - 1 with no sort;
+    # that equals the x_key sort exactly when the keys are 1..b-1
+    for b in range(2, 3000):
+        if b % 3 == 0:
+            continue
+        keys = [x_key(3, b, h, k) for k in (1, 2) for h in range(1, (3 * b - k * b - 1) // 3 + 1)]
+        assert sorted(keys) == list(range(1, b)), b
+
+
+@pytest.mark.parametrize("b", [997, 1000, 2003, 2995, 2999])
+def test_large_a3_tables_equal_the_x_key_sort(b):
+    assert crossing_table(3, b) == _reference_rows(3, b)
 
 
 @pytest.fixture
@@ -299,6 +314,17 @@ def test_minimal_diagram_bounds_and_knot_class():
         # the emitted form evaluates to a fraction of the same knot
         value = eval_cf(md.form.signs)
         assert canonicalize(value.num, value.den) == canonicalize(alpha, beta)
+
+
+def test_expansion_lengths_add_up_to_3n_minus_2():
+    # minimal_diagram builds the conjugate expansion only when it is shorter
+    for alpha in range(3, 300, 2):
+        for beta in range(1, alpha):
+            if gcd(alpha, beta) != 1:
+                continue
+            n_cross = sum(classical_euclid_oracle(alpha, beta))
+            own, conj = Fraction(alpha, beta), Fraction(alpha, alpha - beta)
+            assert expansion_length(own) + expansion_length(conj) == 3 * n_cross - 2, (alpha, beta)
 
 
 def test_word_criterion_worked_examples():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import fractions_with_crossing_number_up_to
 from chebknot.bridge import Equivalence, canonicalize, equivalent
-from chebknot.contfrac import Fraction, crossing_number, fibonacci
-from chebknot.diagram import PARAMETER_ERROR, enumerate_crossings
+from chebknot.contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
+from chebknot.diagram import PARAMETER_ERROR, crossing_table, enumerate_crossings
 from chebknot.errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from chebknot.harmonic import (
     classify,
@@ -21,7 +23,13 @@ from chebknot.harmonic import (
     harmonic_conway,
     HarmonicSpec,
 )
-from chebknot.heights import HeightPolynomial, parametrization
+from chebknot.heights import (
+    GaussSequence,
+    HeightPolynomial,
+    Parametrization,
+    gauss_sequence,
+    parametrization,
+)
 from chebknot.oracle import (
     ChebyshevHeight,
     measure_crossings,
@@ -332,3 +340,130 @@ def test_chebyshev_height_needs_an_integer_degree():
     for c in (5.5, 7.0, True):
         with pytest.raises(ChebknotError):
             ChebyshevHeight(c)
+
+
+# ---------------------------------------------------------------------------
+# constructed heights decided by integer gap counts
+# ---------------------------------------------------------------------------
+
+def _bench_inputs():
+    """The benchmark's seeded input generator, which does not import chebknot."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _float_twin(height: HeightPolynomial) -> HeightPolynomial:
+    """The same roots and sign with no gaps: decided by the float root rule."""
+    return HeightPolynomial(height.roots, height.leading_sign)
+
+
+def test_gap_decisions_equal_the_float_rule_on_the_census():
+    for alpha, beta, _ in _bench_inputs().census_order(7):
+        p = parametrization(Fraction(alpha, beta))
+        by_gaps = measure_crossings(3, p.b, p.height).crossings
+        assert by_gaps == measure_crossings(3, p.b, _float_twin(p.height)).crossings, (alpha, beta)
+
+
+@pytest.mark.parametrize("seed", [7, 101, 303])
+def test_gap_decisions_equal_the_float_rule_on_giants(seed):
+    for alpha, beta, *_ in _bench_inputs().giants(seed):
+        p = parametrization(Fraction(alpha, beta))
+        rows = crossing_table(3, p.b)
+        by_gaps = p.height.zdiff_signs(3, p.b, rows)
+        assert by_gaps == _float_twin(p.height).zdiff_signs(3, p.b, rows), (alpha, beta)
+
+
+@st.composite
+def _knot_fractions_to_10_12(draw):
+    alpha = draw(st.integers(3, 10**12)) | 1
+    beta = draw(st.integers(1, alpha - 1))
+    assume(gcd(alpha, beta) == 1)
+    r = Fraction(alpha, beta)
+    assume(crossing_number(r) <= 3000)
+    return r
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=_knot_fractions_to_10_12())
+def test_constructions_verify_and_keep_the_degree_identity(r):
+    p = parametrization(r)
+    assert verify_parametrization(r, p) is True
+    assert p.b + p.height.degree == 3 * crossing_number(r) == 3 * p.crossing_number
+
+
+def _census_to(max_n: int):
+    for alpha, beta, _ in fractions_with_crossing_number_up_to(max_n):
+        if alpha % 2:
+            yield Fraction(alpha, beta)
+
+
+def _with_height(p: Parametrization, height: HeightPolynomial) -> Parametrization:
+    return Parametrization(p.b, height, p.crossing_number, p.form, p.mirrored)
+
+
+def _moved_root(p, g, j: int, step: int) -> HeightPolynomial:
+    """p.height with root j moved into the neighbouring gap, one event up
+    (step = 1) or down (step = -1), its float rendered like the others."""
+    gaps = list(p.height.gaps)
+    i = g.ms.index(gaps[j]) + step
+    gaps[j] = g.ms[i]
+    roots = [(g.events[g.ms.index(m)][0] + g.events[g.ms.index(m) + 1][0]) / 2.0 for m in gaps]
+    return HeightPolynomial(roots, p.height.leading_sign, p.b, gaps)
+
+
+def test_a_root_moved_to_a_neighbouring_gap_is_refused():
+    planted = 0
+    for r in _census_to(9):
+        p = parametrization(r)
+        g = gauss_sequence(p.form)
+        last = len(g.ms) - 2  # the last gap an event opens
+        for j, m in enumerate(p.height.gaps):
+            for step in (1, -1):
+                if not 0 <= g.ms.index(m) + step <= last:
+                    continue
+                moved = _with_height(p, _moved_root(p, g, j, step))
+                # exactly one event changes sign, so its crossing has strands of one sign
+                with pytest.raises(AmbiguousCrossing):
+                    verify_parametrization(r, moved)
+                planted += 1
+    assert planted > 4000
+
+
+def test_a_flipped_leading_sign_gives_the_mirror_image():
+    chiral = 0
+    for r in _census_to(10):
+        p = parametrization(r)
+        h = p.height
+        flipped = _with_height(p, HeightPolynomial(h.roots, -h.leading_sign, h.b, h.gaps))
+        if is_amphicheiral(r.num, r.den):
+            assert verify_parametrization(r, flipped) is True  # its own mirror image
+        else:
+            assert verify_parametrization(r, flipped) is False
+            chiral += 1
+    assert chiral > 300
+
+
+def test_a_gap_height_off_its_own_diagram_takes_the_float_rule():
+    p = parametrization(Fraction(9, 2))  # b = 8
+    for b in (7, 10):
+        assert measure_crossings(3, b, p.height) == measure_crossings(3, b, _float_twin(p.height))
+
+
+@pytest.mark.parametrize(
+    "b, gaps",
+    [(None, (1,)), (8, ()), (8, (1, 2)), (9, (1,)), (True, (1,)), (8, None)],
+    ids=["no-b", "too-few", "too-many", "b-divisible-by-3", "bool-b", "b-without-gaps"],
+)
+def test_height_polynomial_checks_its_gaps(b, gaps):
+    with pytest.raises(ChebknotError):
+        HeightPolynomial((0.5,), 1, b, gaps)
+
+
+def test_gauss_sequence_needs_b_and_one_m_per_event_or_neither():
+    events = ((0.5, 1), (-0.5, -1))
+    for b, ms in ((2, None), (None, (1, 5)), (2, (1,))):
+        with pytest.raises(ChebknotError):
+            GaussSequence(events, b, ms)

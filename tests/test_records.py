@@ -47,21 +47,21 @@ CASES = [
     ),
     (
         GaussSequence,
-        ("events",),
-        (((0.5, 1), (-0.5, -1)),),
-        "GaussSequence(events=((0.5, 1), (-0.5, -1)))",
+        ("events", "b", "ms"),
+        (((0.5, 1), (-0.5, -1)), 2, (1, 5)),
+        "GaussSequence(events=((0.5, 1), (-0.5, -1)), b=2, ms=(1, 5))",
     ),
     (
         HeightPolynomial,
-        ("roots", "leading_sign"),
-        ((-0.25, 0.5), -1),
-        "HeightPolynomial(roots=(-0.25, 0.5), leading_sign=-1)",
+        ("roots", "leading_sign", "b", "gaps"),
+        ((-0.25, 0.5), -1, 4, (2, 7)),
+        "HeightPolynomial(roots=(-0.25, 0.5), leading_sign=-1, b=4, gaps=(2, 7))",
     ),
     (
         Parametrization,
         ("b", "height", "crossing_number", "form", "mirrored"),
         (4, FLAT, 3, FORM, True),
-        "Parametrization(b=4, height=HeightPolynomial(roots=(), leading_sign=1), "
+        "Parametrization(b=4, height=HeightPolynomial(roots=(), leading_sign=1, b=None, gaps=None), "
         "crossing_number=3, form=ConwayForm(signs=(1, 1, 1), b=4), mirrored=True)",
     ),
     (HarmonicSpec, ("a", "b", "c"), (3, 4, 5), "HarmonicSpec(a=3, b=4, c=5)"),
