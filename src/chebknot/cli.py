@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Verbs: expand, diagram, param, harmonic, atlas, verify, family.
-Exit codes: 0 success, 1 domain error, 2 usage error.  With --format json
-an error after the command line is read goes to stderr as one JSON object,
-{"error": <exception class>, "message": <text>}.
+Verbs: expand, diagram, param, harmonic, atlas, verify, family; each returns
+its text and its JSON payload, and main prints one.  Exit codes: 0 success,
+1 domain error, 2 usage error.  With --format json every error, argparse's
+own included, goes to stderr as one JSON object, {"error": <exception class>,
+"message": <text>}.
 """
 
 from __future__ import annotations
@@ -29,7 +30,24 @@ from .svg import render_diagram_svg
 
 
 class UsageError(Exception):
-    pass
+    """Exit code 2; `parser` prints the usage line (None: the top level)."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None) -> None:
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads "-9/7" as a positional fraction, not an option, and raises
+    UsageError where argparse would print its error and exit.  Subparsers
+    are of the same class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/-?\d+)?$")
+
+    def error(self, message: str):
+        raise UsageError(message, self)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -51,14 +69,20 @@ def _knot_fraction(text: str) -> Fraction:
     return Fraction(alpha, beta)
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(text)
+def _write(path: str, chunks) -> int:
+    """Write each string of `chunks` to `path` as it comes; the count.
+    A path that cannot be written is a usage error."""
+    written = 0
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for written, chunk in enumerate(chunks, 1):
+                fh.write(chunk)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
+    return written
 
 
-def _cmd_expand(args: argparse.Namespace) -> None:
+def _cmd_expand(args: argparse.Namespace) -> tuple[str, dict]:
     frac = _parse_fraction(args.fraction)
     mirror = frac.den < 0
     body = abs(frac)
@@ -77,18 +101,12 @@ def _cmd_expand(args: argparse.Namespace) -> None:
         text += f"  cn={n_cross}"
     if mirror:
         text += "  (mirror)"
-    _emit(args, text, payload)
+    return text, payload
 
 
-def _cmd_diagram(args: argparse.Namespace) -> None:
+def _cmd_diagram(args: argparse.Namespace) -> tuple[str, dict]:
     frac = _knot_fraction(args.fraction)
     md = minimal_diagram(frac)
-    if args.svg:
-        try:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(render_diagram_svg(md.form))
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.svg!r}: {exc.strerror}") from exc
     payload = {
         "fraction": str(frac),
         "b": md.b,
@@ -97,172 +115,153 @@ def _cmd_diagram(args: argparse.Namespace) -> None:
     }
     text = f"{md.form.text()}  b={md.b}  mirrored={str(md.mirrored).lower()}"
     if args.svg:
+        _write(args.svg, [render_diagram_svg(md.form)])
         text += f"  svg={args.svg}"
-    _emit(args, text, payload)
+    return text, payload
 
 
-def _cmd_param(args: argparse.Namespace) -> None:
+def _cmd_param(args: argparse.Namespace) -> tuple[str, dict]:
     frac = _knot_fraction(args.fraction)
     p = parametrization(frac)
     text = (
         f"a=3  b={p.b}  deg(z)={p.height.degree}  N={p.crossing_number}\n"
         f"z = {p.height.factored_text()}"
     )
-    _emit(args, text, p.to_json())
+    return text, p.to_json()
 
 
-def _cmd_harmonic(args: argparse.Namespace) -> None:
-    spec = HarmonicSpec(args.a, args.b, args.c)
-    canon = classify(spec)
+def _cmd_harmonic(args: argparse.Namespace) -> tuple[str, dict]:
+    canon = classify(HarmonicSpec(args.a, args.b, args.c))
     text = (
         f"H(3,{args.b},{args.c}) -> canonical ({canon.b_prime},{canon.c_prime})"
         f"  N={canon.crossing_number}  fraction={canon.fraction}"
         f"  mirror={str(canon.mirror).lower()}"
         f"  amphicheiral={str(canon.amphicheiral).lower()}"
     )
-    _emit(args, text, canon.to_json())
+    return text, canon.to_json()
 
 
-def _cmd_atlas(args: argparse.Namespace) -> None:
-    records = 0
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for b in range(2, args.b_max + 1):
-                if b % 3 == 0:
+def _cmd_atlas(args: argparse.Namespace) -> tuple[str, dict]:
+    def lines():
+        for b in range(2, args.b_max + 1):
+            if b % 3 == 0:
+                continue
+            for c in range(2, args.c_max + 1):
+                if c % 3 == 0 or gcd(b, c) != 1:
                     continue
-                for c in range(2, args.c_max + 1):
-                    if c % 3 == 0 or gcd(b, c) != 1:
-                        continue
-                    try:
-                        canon = classify(HarmonicSpec(3, b, c))
-                    except TrivialKnot:
-                        continue
-                    fh.write(json.dumps(canon.to_json()) + "\n")
-                    records += 1
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
-    _emit(
-        args,
-        f"wrote {records} records to {args.out}",
-        {"records": records, "out": args.out},
-    )
+                try:
+                    canon = classify(HarmonicSpec(3, b, c))
+                except TrivialKnot:
+                    continue
+                yield json.dumps(canon.to_json()) + "\n"
+
+    records = _write(args.out, lines())
+    return f"wrote {records} records to {args.out}", {"records": records, "out": args.out}
 
 
-def _cmd_verify(args: argparse.Namespace) -> None:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, dict]:
     frac = _knot_fraction(args.fraction)
     p = parametrization(frac)
     sample = measure_crossings(3, p.b, p.height)
     recovered = recover_knot(sample)
     ok = reproduces(frac, recovered)
-    payload = sample.to_report()
-    payload.update(
-        {
-            "fraction": str(frac),
-            "recovered": recovered.to_json(),
-            "min_separation": sample.min_separation,  # smallest margin, see CurveSample
-            "verdict": ok,
-        }
-    )
+    payload = {
+        **sample.to_report(),
+        "fraction": str(frac),
+        "recovered": recovered.to_json(),
+        "min_separation": sample.min_separation,  # smallest margin, see CurveSample
+        "verdict": ok,
+    }
     status = "OK" if ok else "FAILED"
     text = (
         f"verify {frac}: {status}  b={p.b}  deg(z)={p.height.degree}"
         f"  min_margin={sample.min_separation:.3e}"
     )
-    _emit(args, text, payload)
+    return text, payload
 
 
-def _cmd_family(args: argparse.Namespace) -> None:
+def _cmd_family(args: argparse.Namespace) -> tuple[str, dict]:
     frac = family_fraction(FamilySpec(args.kind, args.index))
     knot = canonicalize(frac.num, frac.den)
-    payload = knot.to_json()
-    payload["fraction"] = str(frac)
+    payload = {**knot.to_json(), "fraction": str(frac)}
     text = (
         f"{args.kind} {args.index}: fraction={frac}"
         f"  alpha={knot.alpha}  beta={knot.beta}  cn={knot.crossing_number}"
     )
-    _emit(args, text, payload)
-
-
-# lets argparse accept "-9/7" as a positional fraction, not an option
-_FRACTION_AS_NEGATIVE = re.compile(r"^-\d+(/-?\d+)?$")
+    return text, payload
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebknot",
         description="Two-bridge knots on Chebyshev diagrams, in exact arithmetic.",
     )
-    parser._negative_number_matcher = _FRACTION_AS_NEGATIVE
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p._negative_number_matcher = _FRACTION_AS_NEGATIVE
-        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("expand", help="one-regular +-1 expansion of a fraction")
     p.add_argument("fraction")
-    add_format(p)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("diagram", help="minimal Chebyshev diagram of a knot")
     p.add_argument("fraction")
     p.add_argument("--svg", metavar="PATH", help="write an SVG rendering")
-    add_format(p)
     p.set_defaults(func=_cmd_diagram)
 
     p = sub.add_parser("param", help="polynomial parametrization of a knot")
     p.add_argument("fraction")
-    add_format(p)
     p.set_defaults(func=_cmd_param)
 
     p = sub.add_parser("harmonic", help="classify the harmonic knot H(a,b,c)")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
-    add_format(p)
     p.set_defaults(func=_cmd_harmonic)
 
     p = sub.add_parser("atlas", help="classify all harmonic pairs up to bounds")
     p.add_argument("--b-max", type=int, required=True)
     p.add_argument("--c-max", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_format(p)
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("verify", help="measure the constructed curve end to end")
     p.add_argument("fraction")
-    add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("family", help="Schubert fraction of a named family")
     p.add_argument("kind", choices=FAMILY_KINDS)
     p.add_argument("index", type=int)
-    add_format(p)
     p.set_defaults(func=_cmd_family)
 
+    # last, so that it follows each verb's own options in usage and help
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    fmt = "text"  # the last --format value, as argparse spells it, for its own errors
+    for arg, following in zip(argv, [*argv[1:], ""]):
+        name, eq, value = arg.partition("=")
+        if len(name) > 2 and "--format".startswith(name):
+            fmt = value if eq else following
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        fmt = args.format
+        text, payload = args.func(args)
+    except SystemExit as exc:  # --help; every error raises instead
         return int(exc.code or 0)
-    try:
-        args.func(args)
     except (UsageError, ChebknotError) as exc:
         usage = isinstance(exc, UsageError)
-        if args.format == "json":
+        if fmt == "json":
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         elif usage:
-            parser.print_usage(sys.stderr)
-            print(f"chebknot: error: {exc}", file=sys.stderr)
+            usage_parser = exc.parser or parser
+            usage_parser.print_usage(sys.stderr)
+            print(f"{usage_parser.prog}: error: {exc}", file=sys.stderr)
         else:
             print(f"chebknot: {exc}", file=sys.stderr)
         return 2 if usage else 1
+    print(json.dumps(payload) if fmt == "json" else text)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -111,8 +111,9 @@ def test_param_rejects_link(capsys):
     assert "link" in err
 
 
-# With --format json an error is one object on stderr and nothing on stdout;
-# the exit codes are those of the text format.
+# With --format json an error is one object on stderr and nothing on stdout,
+# whether a verb or argparse itself reported it; the exit codes are those of
+# the text format.
 @pytest.mark.parametrize(
     "argv, code, error",
     [
@@ -123,6 +124,9 @@ def test_param_rejects_link(capsys):
         (("harmonic", "3", "4", "7"), 1, "TrivialKnot"),
         (("harmonic", "3", "6", "7"), 1, "NotPairwiseCoprime"),
         (("family", "torus", "0"), 1, "IndexOutOfRange"),
+        (("harmonic", "3", "x", "5"), 2, "UsageError"),
+        (("param",), 2, "UsageError"),
+        (("frobnicate", "1/2"), 2, "UsageError"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
 )
@@ -135,6 +139,27 @@ def test_json_errors_are_one_object_on_stderr(capsys, argv, code, error):
     assert isinstance(rec["message"], str) and rec["message"]
     text_code, _, text_err = run(capsys, *argv)
     assert text_code == code and rec["message"] in text_err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("harmonic", "3", "x", "5"),
+         "usage: chebknot harmonic [-h] [--format {text,json}] a b c\n"
+         "chebknot harmonic: error: argument b: invalid int value: 'x'\n"),
+        (("diagram",),
+         "usage: chebknot diagram [-h] [--svg PATH] [--format {text,json}] fraction\n"
+         "chebknot diagram: error: the following arguments are required: fraction\n"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_argparse_errors_keep_their_text(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: chebknot [-h]")
 
 
 def test_json_error_for_an_unwritable_svg_path(tmp_path, capsys):

@@ -428,6 +428,8 @@ def test_a_root_moved_to_a_neighbouring_gap_is_refused():
                 # exactly one event changes sign, so its crossing has strands of one sign
                 with pytest.raises(AmbiguousCrossing):
                     verify_parametrization(r, moved)
+                with pytest.raises(AmbiguousCrossing):  # decide_crossing's exact branch
+                    measure_crossings(3, p.b, moved.height)
                 planted += 1
     assert planted > 4000
 
