@@ -14,6 +14,7 @@ the expansion, the word, and the matrix are three views of the same object.
 from __future__ import annotations
 
 from math import gcd
+from operator import ne
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -143,11 +144,12 @@ def _validate_one_regular(terms: Sequence[int]) -> None:
     n = len(terms)
     if n == 0:
         raise EmptySequence("empty sign sequence")
-    if terms.count(1) + terms.count(-1) != n:
+    # count compares with ==, so True and 1.0 would pass it without the type test
+    if set(map(type, terms)) != {int} or terms.count(1) + terms.count(-1) != n:
         raise NotOneRegular("terms must all be +1 or -1")
     if n >= 2 and terms[-1] * terms[-2] < 0:
         raise NotOneRegular("last two terms must have equal sign")
-    if any(x != y != z for x, y, z in zip(terms, terms[1:], terms[2:])):
+    if b"\x01\x01" in bytes(map(ne, terms, terms[1:])):
         raise NotOneRegular("two consecutive sign changes")
 
 
@@ -166,7 +168,7 @@ class RegularCF(Record):
     @property
     def sign_changes(self) -> int:
         t = self.terms
-        return sum(1 for i in range(len(t) - 1) if t[i] * t[i + 1] < 0)
+        return sum(map(ne, t, t[1:]))
 
     def fraction(self) -> Fraction:
         return eval_cf(self.terms)

@@ -33,19 +33,13 @@ from .errors import (
 from .trig import sin_sign
 
 
-def parameter_value(m: int, denom: int) -> float:
-    """cos(m*pi/denom), computed so that m and denom-m give exact negatives."""
-    if 2 * m <= denom:
-        return math.cos(m * math.pi / denom)
-    return -math.cos((denom - m) * math.pi / denom)
-
-
-# Bound on |parameter_value(m, denom) - cos(m*pi/denom)| for denom < 2**53.
-# With u = 2**-53, math.pi, the product and the quotient each round with
-# relative error at most u, so the argument, at most pi/2, is off by at
-# most ((1 + u)**3 - 1) * pi/2 < 4.72u; cos is 1-Lipschitz; libm's cos is
-# within one ulp of a result in [0, 1], which is at most u; the negation is
-# exact.  In all, less than 5.72u.
+# Bound on the error of crossing_table's t = cos(m*pi/ab), evaluated as
+# cos(m*pi/ab) when 2m <= ab and as -cos((ab - m)*pi/ab) otherwise, for
+# ab < 2**53.  With u = 2**-53, math.pi, the product and the quotient each
+# round with relative error at most u, so the argument, at most pi/2, is
+# off by at most ((1 + u)**3 - 1) * pi/2 < 4.72u; cos is 1-Lipschitz;
+# libm's cos is within one ulp of a result in [0, 1], which is at most u;
+# the negation is exact.  In all, less than 5.72u.
 PARAMETER_ERROR = 6 * 2.0**-53
 
 
@@ -53,20 +47,6 @@ def twist_sign(i: int, sign: int) -> int:
     """(-1)^i * sign: turns the sign of D = (z(t) - z(s)) x'(t) y'(t) at the
     crossing with the (i+1)-th largest x into its twist sign, and back."""
     return sign if i % 2 == 0 else -sign
-
-
-def x_key(a: int, b: int, h: int, k: int) -> int:
-    """Integer nu with x = cos(nu*pi/b) at the crossing with indices (h, k)."""
-    mu = (a * h) % (2 * b)
-    if mu > b:
-        mu = 2 * b - mu
-    return b - mu if k % 2 else mu
-
-
-def xy_derivative_sign(a: int, b: int, h: int, k: int) -> int:
-    """Exact sign of x'(t) y'(t) at the crossing with indices (h, k)."""
-    s = sin_sign(a * h, b) * sin_sign(b * k, a)
-    return -s if (h + k) % 2 else s
 
 
 class CrossingPoint(NamedTuple):
@@ -87,8 +67,8 @@ class CrossingPoint(NamedTuple):
 
 # Rows the crossing-table cache holds over all (a, b); 4096 rows are about
 # 1 MB.  A table that would overflow the budget empties the cache first, so
-# traffic reusing a small table between overflows rebuilds it (10-30 us) once
-# per overflow; no workload does.  A larger table is never stored.
+# traffic reusing a small table between overflows rebuilds it (4-10 us at
+# b <= 17) each time; no workload does.  Larger tables are never stored.
 TABLE_CACHE_ROWS = 4096
 _tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
 _tables_lock = threading.Lock()
@@ -98,11 +78,11 @@ def crossing_table(a: int, b: int) -> list[tuple]:
     """All (a-1)(b-1)/2 crossings of the curve by decreasing x, as plain
     tuples with CrossingPoint's fields (h, k, m_t, m_s, t, s, xy_sign).
 
-    Rows are in increasing order of the integer x_key.  For a = 3 the keys
-    are a permutation of 1..b-1 and each row goes straight to its slot;
-    for a >= 4 keys tie, and a stable sort keeps their (k, h) generation
-    order.  Tables are cached per (a, b) up to TABLE_CACHE_ROWS rows in
-    all; each call returns a new list.
+    Rows are in increasing order of the integer key nu, x = cos(nu*pi/b).
+    For a = 3 the keys are a permutation of 1..b-1 and each row goes
+    straight to its slot; for a >= 4 keys tie, and a stable sort keeps
+    their (k, h) generation order.  Tables are cached per (a, b) up to
+    TABLE_CACHE_ROWS rows in all; each call returns a new list.
     """
     if a < 2 or b < 2:
         raise ChebknotError("degrees must be >= 2")
@@ -111,22 +91,40 @@ def crossing_table(a: int, b: int) -> list[tuple]:
     cached = _tables.get((a, b))  # a hit reads one entry and takes no lock
     if cached is not None:
         return list(cached)
-    ab = a * b
+    ab, half, b2, cos, pi = a * b, a * b // 2, 2 * b, math.cos, math.pi
     rows: list = [None] * (b - 1) if a == 3 else []
+    keys: list[int] = []
     for k in range(1, a):
-        for h in range(1, (ab - k * b - 1) // a + 1):  # k*b + a*h < a*b
-            m_t, m_s = k * b + a * h, abs(k * b - a * h)
+        kb, k_odd = k * b, k % 2
+        # xy_sign = (-1)^(h+k) sin_sign(k*b, a) sin_sign(a*h, b); sign holds
+        # all but the last factor, flipped once per h
+        sign = -sin_sign(kb, a) if k_odd else sin_sign(kb, a)
+        for h in range(1, (ab - kb - 1) // a + 1):  # k*b + a*h < a*b
+            sign = -sign
+            ah = a * h
+            mu = ah % b2  # sin(a*h*pi/b) > 0 exactly when mu < b
+            if mu < b:
+                xy = sign
+            else:
+                mu, xy = b2 - mu, -sign
+            m_t = kb + ah
+            m_s = kb - ah if kb > ah else ah - kb
+            # t, s = cos(m*pi/ab), as -cos((ab - m)*pi/ab) when 2m > ab so
+            # that m and ab - m give exact negatives
             row = (
                 h, k, m_t, m_s,
-                parameter_value(m_t, ab), parameter_value(m_s, ab),
-                xy_derivative_sign(a, b, h, k),
+                cos(m_t * pi / ab) if m_t <= half else -cos((ab - m_t) * pi / ab),
+                cos(m_s * pi / ab) if m_s <= half else -cos((ab - m_s) * pi / ab),
+                xy,
             )
+            key = b - mu if k_odd else mu  # x = cos(key*pi/b)
             if a == 3:  # the b - 1 keys are 1..b-1 in some order: a slot each
-                rows[x_key(3, b, h, k) - 1] = row
+                rows[key - 1] = row
             else:
                 rows.append(row)
+                keys.append(key)
     if a != 3:
-        rows.sort(key=lambda row: x_key(a, b, row[0], row[1]))
+        rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
     if len(rows) != (a - 1) * (b - 1) // 2 or None in rows:
         raise ChebknotError("crossing count mismatch")
     with _tables_lock:

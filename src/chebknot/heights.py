@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import compress
+from operator import itemgetter, ne
 from typing import Callable, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, is_amphicheiral
@@ -64,7 +65,7 @@ class GaussSequence(Record):
 
     @property
     def signs(self) -> tuple[int, ...]:
-        return tuple(g for _, g in self.events)
+        return tuple(map(itemgetter(1), self.events))
 
     @property
     def parameters(self) -> tuple[float, ...]:
@@ -98,7 +99,7 @@ def gauss_sequence(form: ConwayForm) -> GaussSequence:
 
 def count_sign_changes(g: GaussSequence) -> int:
     s = g.signs
-    return sum(1 for i in range(len(s) - 1) if s[i] * s[i + 1] < 0)
+    return sum(map(ne, s, s[1:]))
 
 
 class HeightPolynomial(Record):
@@ -217,12 +218,11 @@ def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomi
     """
     if not g.events:
         raise EmptySequence("empty Gauss sequence")
-    events = g.events  # decreasing parameter
-    changes = [e[1] * f[1] < 0 for e, f in zip(events, events[1:])]
+    events, signs = g.events, g.signs  # decreasing parameter
+    changes = list(map(ne, signs, signs[1:]))
     roots = [(e[0] + f[0]) / 2.0 for e, f in compress(zip(events, events[1:]), changes)]
     gaps = None if g.ms is None else compress(g.ms, changes)
     if amphicheiral:
-        signs = g.signs
         keys, total = (g.parameters, 0.0) if g.ms is None else (g.ms, 3 * g.b)
         if not (len(roots) % 2 == 1 and all(
             keys[i] + keys[-1 - i] == total and signs[i] == -signs[-1 - i] for i in range(len(keys))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as StdFraction
+from itertools import chain, product
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from chebknot.contfrac import (
     Mat2,
     PMWord,
     RegularCF,
+    _validate_one_regular,
     classical_expansion,
     cn_from_regular,
     conjugate_fractions,
@@ -214,6 +216,47 @@ def test_regular_cf_validation():
         RegularCF((1, 2, 1))
     with pytest.raises(EmptySequence):
         RegularCF(())
+
+
+def test_regular_cf_refuses_terms_that_are_not_ints():
+    for terms in ((True, True), (1.0, 1), (1, -1, -1.0), (1, True)):
+        with pytest.raises(NotOneRegular):
+            RegularCF(terms)
+
+
+def _generator_rule_verdict(terms) -> tuple | None:
+    """One-regularity by generator rules, with _validate_one_regular's error
+    and message: the reference its C-level checks must match."""
+    n = len(terms)
+    if n == 0:
+        return (EmptySequence, "empty sign sequence")
+    if terms.count(1) + terms.count(-1) != n:
+        return (NotOneRegular, "terms must all be +1 or -1")
+    if n >= 2 and terms[-1] * terms[-2] < 0:
+        return (NotOneRegular, "last two terms must have equal sign")
+    if any(x != y != z for x, y, z in zip(terms, terms[1:], terms[2:])):
+        return (NotOneRegular, "two consecutive sign changes")
+    return None
+
+
+def test_validation_and_sign_changes_match_the_generator_rules():
+    sequences = chain(
+        chain.from_iterable(product((-1, 1), repeat=n) for n in range(15)),
+        chain.from_iterable(product((-1, 0, 1, 2), repeat=n) for n in range(8)),
+    )
+    accepted = 0
+    for terms in sequences:
+        try:
+            _validate_one_regular(terms)
+            verdict = None
+        except ChebknotError as exc:
+            verdict = (type(exc), str(exc))
+        assert verdict == _generator_rule_verdict(terms), terms
+        if verdict is None:
+            accepted += 1
+            changes = sum(1 for i in range(len(terms) - 1) if terms[i] * terms[i + 1] < 0)
+            assert RegularCF(terms).sign_changes == changes, terms
+    assert accepted > 1000
 
 
 def test_expansion_starts_with_two_plus_ones_iff_greater_than_one():

@@ -9,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import classical_euclid_oracle, fractions_with_crossing_number_up_to
 from chebknot import diagram
@@ -22,9 +24,6 @@ from chebknot.diagram import (
     enumerate_crossings,
     is_minimal_by_word,
     minimal_diagram,
-    parameter_value,
-    x_key,
-    xy_derivative_sign,
 )
 from chebknot.errors import (
     ChebknotError,
@@ -35,11 +34,36 @@ from chebknot.errors import (
     NotGreaterThanOne,
     NotPGPForm,
 )
+from chebknot.trig import sin_sign
 
 
 # ---------------------------------------------------------------------------
 # crossing enumeration
 # ---------------------------------------------------------------------------
+
+# The per-crossing formulas crossing_table computes inline, kept one call per
+# quantity as the reference its rows are checked against.
+
+def parameter_value(m: int, denom: int) -> float:
+    """cos(m*pi/denom), computed so that m and denom-m give exact negatives."""
+    if 2 * m <= denom:
+        return math.cos(m * math.pi / denom)
+    return -math.cos((denom - m) * math.pi / denom)
+
+
+def x_key(a: int, b: int, h: int, k: int) -> int:
+    """Integer nu with x = cos(nu*pi/b) at the crossing with indices (h, k)."""
+    mu = (a * h) % (2 * b)
+    if mu > b:
+        mu = 2 * b - mu
+    return b - mu if k % 2 else mu
+
+
+def xy_derivative_sign(a: int, b: int, h: int, k: int) -> int:
+    """Exact sign of x'(t) y'(t) at the crossing with indices (h, k)."""
+    s = sin_sign(a * h, b) * sin_sign(b * k, a)
+    return -s if (h + k) % 2 else s
+
 
 def test_crossing_counts():
     assert len(enumerate_crossings(3, 4)) == 3
@@ -107,11 +131,19 @@ def _reference_rows(a: int, b: int) -> list[tuple]:
 
 
 def test_crossing_table_equals_crossing_point_properties():
-    for a in (3, 4, 5, 7):
+    for a in (2, 3, 4, 5, 7, 8, 11):
         for b in range(2, 200):
             if gcd(a, b) != 1:
                 continue
             assert crossing_table(a, b) == _reference_rows(a, b), (a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(2, 13), b=st.integers(2, 600))
+def test_cold_crossing_tables_equal_the_reference_rows(a, b):
+    assume(gcd(a, b) == 1)
+    diagram._tables.pop((a, b), None)  # build the table, not a cached copy
+    assert crossing_table(a, b) == _reference_rows(a, b)
 
 
 def test_enumerate_crossings_names_the_table_rows():
@@ -258,6 +290,13 @@ def test_conway_form_validation():
         ConwayForm((1, 1), 3)  # b divisible by 3
     with pytest.raises(InvalidForm):
         ConwayForm((1, 0, 1), 4)
+
+
+def test_conway_form_refuses_signs_that_are_not_ints():
+    # True == 1 and 1.0 == 1, so only a type test tells them from the sign +1
+    for signs in ((1.0, True, 1), (True, True, True), (1, 1, 1.0), (-1.0, -1, -1)):
+        with pytest.raises(InvalidForm):
+            ConwayForm(signs, 4)
 
 
 def test_conway_form_text():
