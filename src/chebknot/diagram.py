@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import compress
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -69,9 +70,21 @@ class CrossingPoint(NamedTuple):
 # 1 MB.  A table that would overflow the budget empties the cache first, so
 # traffic reusing a small table between overflows rebuilds it (4-10 us at
 # b <= 17) each time; no workload does.  Larger tables are never stored.
+# The same cache holds the C(3, b) events under ("events", b), one row per
+# m and one per parameter, each far smaller than a table row.
 TABLE_CACHE_ROWS = 4096
-_tables: dict[tuple[int, int], tuple[tuple, ...]] = {}
+_tables: dict[tuple, tuple] = {}
 _tables_lock = threading.Lock()
+
+
+def _store(key: tuple, value: tuple) -> None:
+    """Cache value, len(value) rows, under key if it fits TABLE_CACHE_ROWS,
+    emptying the cache first when it would overflow the budget."""
+    with _tables_lock:
+        if len(value) <= TABLE_CACHE_ROWS and key not in _tables:
+            if sum(map(len, _tables.values())) + len(value) > TABLE_CACHE_ROWS:
+                _tables.clear()
+            _tables[key] = value
 
 
 def crossing_table(a: int, b: int) -> list[tuple]:
@@ -127,12 +140,57 @@ def crossing_table(a: int, b: int) -> list[tuple]:
         rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
     if len(rows) != (a - 1) * (b - 1) // 2 or None in rows:
         raise ChebknotError("crossing count mismatch")
-    with _tables_lock:
-        if len(rows) <= TABLE_CACHE_ROWS and (a, b) not in _tables:
-            if sum(map(len, _tables.values())) + len(rows) > TABLE_CACHE_ROWS:
-                _tables.clear()
-            _tables[(a, b)] = tuple(rows)
+    _store((a, b), tuple(rows))
     return rows
+
+
+def _a3_families(b: int) -> tuple[tuple[int, int, slice, slice], ...]:
+    """The crossings of C(3, b) as three families: the paper's C_k, then
+    A_k and B_k for b = 3n + 1, B_k and A_k for b = 3n + 2
+    (harmonic.closed_form_crossing_indices).
+
+    Each family is (first, c, at_t, at_s): it holds the crossing_table(3, b)
+    slots first, first + 3, ... (x key nu = slot + 1), whose m_t and m_s are
+    range(3b)[at_t] and range(3b)[at_s] in slot order, and along which
+    c = xy_sign * (-1)^slot is constant:
+
+        nu = 3h,      k = 2:  m_t = 2b + nu, m_s = 2b - nu;
+        nu = b - 3h,  k = 1:  m_t = 2b - nu, m_s = nu;
+        nu = 3h - b,  k = 1:  m_t = 2b + nu, m_s = nu.
+
+    With xy_sign = (-1)^(h+k) sin_sign(k*b, 3) sin_sign(3h, b), the last
+    factor is -1 in the third family alone, so c = -sin_sign(2b, 3) in the
+    first and +-sin_sign(b, 3) (-1)^b in the other two.
+    """
+    first = (b - 1) % 3  # the slots nu - 1 = b - 1 - 3h
+    c = sin_sign(b, 3) if b % 2 == 0 else -sin_sign(b, 3)
+    return (
+        (2, -sin_sign(2 * b, 3), slice(2 * b + 3, None, 3), slice(2 * b - 3, b, -3)),
+        (first, c, slice(2 * b - first - 1, b, -3), slice(first + 1, b, 3)),
+        (1 - first, -c, slice(2 * b + 2 - first, None, 3), slice(2 - first, b, 3)),
+    )
+
+
+def _a3_events(b: int, by_m: Sequence[int]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The increasing event m of C(3, b), the m where by_m is not 0, and
+    their parameters by crossing_table's expression, cos(m*pi/3b).
+
+    The events are symmetric, m and 3b - m, with none at 3b/2, so the first
+    b - 1 take cos(m*pi/3b) and the rest are their exact negatives.  Both
+    depend on b alone and are cached with the tables under ("events", b),
+    as one tuple of the ms then the parameters: 4(b - 1) rows.
+    """
+    n = 2 * (b - 1)
+    cached = _tables.get(("events", b))
+    if cached is None:
+        ms = tuple(compress(range(3 * b), by_m))
+        ab, cos, pi = 3 * b, math.cos, math.pi
+        head = [cos(m * pi / ab) for m in ms[:b - 1]]
+        cached = ms + tuple(head + [-t for t in reversed(head)])
+        if len(cached) != 2 * n:
+            raise ChebknotError("crossing parameters are not distinct")
+        _store(("events", b), cached)
+    return cached[:n], cached[n:]
 
 
 def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:

@@ -83,15 +83,28 @@ def crossing_sign_closed_form(b: int, lam: int, point: str, k: int) -> int:
 
 
 def closed_form_crossing_indices(b: int, point: str, k: int) -> tuple[int, int]:
-    """(k_index, h_index) of the labelled crossing in the (h, k) scheme."""
+    """(k_index, h_index) of the labelled crossing of C(3, b) in the (h, k)
+    scheme.
+
+    A_k, B_k, C_k are the crossings with the i-th, (i+1)-th, (i+2)-th
+    largest x, i = 3k + 1, for k < n = (b - 1) // 3; for b = 3n + 2 the
+    last crossing is A_n.  In diagram._a3_families' terms, with x key nu:
+    C_k = (2, k + 1) is the family nu = 3h; for b = 3n + 1,
+    A_k = (1, n - k) is the family nu = b - 3h and B_k = (1, n + 1 + k)
+    the family nu = 3h - b; for b = 3n + 2 the two swap, A_k = (1, n + 1 + k)
+    and B_k = (1, n - k).
+    """
+    if b % 3 == 0:
+        raise BDivisibleBy3(f"b = {b} is divisible by 3")
+    if point not in ("A", "B", "C"):
+        raise IndexOutOfRange(f"unknown point label {point!r}")
     n = (b - 1) // 3
-    if point == "A":
-        return (1, n - k)
-    if point == "B":
-        return (1, n + k + 1)
+    count = n + 1 if point == "A" and b % 3 == 2 else n
+    if not 0 <= k < count:
+        raise IndexOutOfRange(f"k = {k} outside 0..{count - 1}")
     if point == "C":
         return (2, k + 1)
-    raise IndexOutOfRange(f"unknown point label {point!r}")
+    return (1, n - k) if (point == "A") == (b % 3 == 1) else (1, n + 1 + k)
 
 
 def mirror_equivalent_c(a: int, b: int, c: int) -> int | None:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import compress
-from operator import itemgetter, ne
+from operator import add, itemgetter, ne, neg
 from typing import Callable, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, is_amphicheiral
-from .diagram import PARAMETER_ERROR, ConwayForm, _minimal_diagram, crossing_table, twist_sign
+from .diagram import PARAMETER_ERROR, ConwayForm, _a3_events, _a3_families, _minimal_diagram
 from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
 
 # Smallest |z(t) - z(s)| the float rule accepts.
@@ -62,6 +62,10 @@ class GaussSequence(Record):
         object.__setattr__(self, "ms", ms)
         if (b is None) != (ms is None) or (ms is not None and len(ms) != len(events)):
             raise ChebknotError("need b and one m per event, or neither")
+        # count compares with ==, so True and 1.0 would pass it without the type test
+        signs = self.signs
+        if signs and (set(map(type, signs)) != {int} or signs.count(1) + signs.count(-1) != len(signs)):
+            raise ChebknotError("event signs must all be +1 or -1")
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -69,32 +73,36 @@ class GaussSequence(Record):
 
     @property
     def parameters(self) -> tuple[float, ...]:
-        return tuple(p for p, _ in self.events)
+        return tuple(map(itemgetter(0), self.events))
 
     def __len__(self) -> int:
         return len(self.events)
 
 
-def gauss_sequence(form: ConwayForm) -> GaussSequence:
-    """Gauss sequence forced on the diagram C(3, b) by a Conway form.
+def _gauss_events(form: ConwayForm) -> tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]]:
+    """The m, parameter and Gauss sign of every event of C(3, b) under a
+    Conway form, by increasing m: decreasing parameter.
 
-    The twist sign at decreasing-x position i determines the required sign
-    of z(t) - z(s) at that crossing through the right-twist criterion
-    D = (z(t) - z(s)) x'(t) y'(t) > 0.
+    The twist sign at decreasing-x slot i asks for the sign
+    (-1)^i * twist * xy_sign of z(t) - z(s) at that crossing, by the
+    right-twist criterion D = (z(t) - z(s)) x'(t) y'(t) > 0, and its
+    negative at s.  Along each of diagram._a3_families that is c * twist
+    at m_t, so each family's signs are one slice of the form's.
     """
-    b, signs = form.b, form.signs
-    # Every m in 1..3b-1 that neither 3 nor b divides is the m_t or m_s of
-    # exactly one crossing, so the events are placed by m with no sort.
-    slots: list = [None] * (3 * b)
-    at: list = [0] * (3 * b)  # at[m] = m for the events, 0 elsewhere
-    for i, (_, _, m_t, m_s, t, s, xy) in enumerate(crossing_table(3, b)):
-        zdiff = twist_sign(i, signs[i]) * xy
-        slots[m_t], at[m_t] = (t, zdiff), m_t
-        slots[m_s], at[m_s] = (s, -zdiff), m_s
-    ms = tuple(filter(None, at))  # increasing m: decreasing parameter
-    if len(ms) != 2 * (b - 1):
-        raise ChebknotError("crossing parameters are not distinct")
-    return GaussSequence(tuple(filter(None, slots)), b, ms)
+    b, twists = form.b, form.signs
+    by_m = [0] * (3 * b)  # the Gauss sign at each event m, 0 elsewhere
+    for first, c, at_t, at_s in _a3_families(b):
+        run = twists[first::3]
+        flipped = tuple(map(neg, run))
+        by_m[at_t], by_m[at_s] = (run, flipped) if c == 1 else (flipped, run)
+    return (*_a3_events(b, by_m), tuple(filter(None, by_m)))
+
+
+def gauss_sequence(form: ConwayForm) -> GaussSequence:
+    """Gauss sequence forced on the diagram C(3, b) by a Conway form, read
+    from the three crossing families by slices."""
+    ms, params, signs = _gauss_events(form)
+    return GaussSequence(tuple(zip(params, signs)), form.b, ms)
 
 
 def count_sign_changes(g: GaussSequence) -> int:
@@ -218,17 +226,23 @@ def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomi
     """
     if not g.events:
         raise EmptySequence("empty Gauss sequence")
-    events, signs = g.events, g.signs  # decreasing parameter
+    return _height(g.parameters, g.signs, g.b, g.ms, amphicheiral)
+
+
+def _height(params: Sequence[float], signs: Sequence[int], b: int | None,
+            ms: Sequence[int] | None, amphicheiral: bool) -> HeightPolynomial:
+    """build_height's rule on the parameters, signs and, with b, the ms of
+    a non-empty Gauss sequence, as tuples."""
     changes = list(map(ne, signs, signs[1:]))
-    roots = [(e[0] + f[0]) / 2.0 for e, f in compress(zip(events, events[1:]), changes)]
-    gaps = None if g.ms is None else compress(g.ms, changes)
+    roots = [(p + q) / 2.0 for p, q in compress(zip(params, params[1:]), changes)]
+    gaps = None if ms is None else compress(ms, changes)
     if amphicheiral:
-        keys, total = (g.parameters, 0.0) if g.ms is None else (g.ms, 3 * g.b)
-        if not (len(roots) % 2 == 1 and all(
-            keys[i] + keys[-1 - i] == total and signs[i] == -signs[-1 - i] for i in range(len(keys))
-        )):
+        # m_i + m_{-1-i} = 3b (t_i + t_{-1-i} = 0 without ms), s_{-1-i} = -s_i
+        keys, total = (params, 0.0) if ms is None else (ms, 3 * b)
+        if not (len(roots) % 2 == 1 and set(map(add, keys, keys[::-1])) == {total}
+                and signs[::-1] == tuple(map(neg, signs))):
             raise ChebknotError("amphicheiral input did not give an odd height")
-    return HeightPolynomial(roots, events[0][1], g.b, gaps)
+    return HeightPolynomial(roots, signs[0], b, gaps)
 
 
 class Parametrization(Record):
@@ -262,8 +276,8 @@ def parametrization(r: Fraction) -> Parametrization:
     if r.is_positive and not r.is_knot:
         raise IsLink(f"{r} defines a two-component link")
     md, n_cross = _minimal_diagram(r)
-    g = gauss_sequence(md.form)
-    height = build_height(g, amphicheiral=is_amphicheiral(r.num, r.den))
+    ms, params, signs = _gauss_events(md.form)
+    height = _height(params, signs, md.b, ms, is_amphicheiral(r.num, r.den))
     if md.b + height.degree != 3 * n_cross:
         raise ChebknotError(f"degree identity violated for {r}")
     return Parametrization(md.b, height, n_cross, md.form, md.mirrored)

@@ -169,6 +169,23 @@ def test_a3_keys_are_a_permutation_so_slots_equal_the_sort():
         assert sorted(keys) == list(range(1, b)), b
 
 
+def test_a3_families_are_the_crossing_table_rows():
+    # each family is every third slot, its m_t and m_s are arithmetic runs and
+    # xy_sign * (-1)^slot is one constant along it
+    for b in range(2, 3000):
+        if b % 3 == 0:
+            continue
+        rows, m = crossing_table(3, b), range(3 * b)
+        families = diagram._a3_families(b)
+        assert sorted(first for first, *_ in families) == [0, 1, 2], b
+        for first, c, at_t, at_s in families:
+            _, _, m_t, m_s, _, _, xy = zip(*rows[first::3]) if first < b - 1 else [()] * 7
+            assert (m_t, m_s) == (tuple(m[at_t]), tuple(m[at_s])), (b, first)
+            # the slots first, first + 3, ... alternate in parity
+            even = c if first % 2 == 0 else -c
+            assert set(xy[::2]) <= {even} and set(xy[1::2]) <= {-even}, (b, first)
+
+
 @pytest.mark.parametrize("b", [997, 1000, 2003, 2995, 2999])
 def test_large_a3_tables_equal_the_x_key_sort(b):
     assert crossing_table(3, b) == _reference_rows(3, b)
@@ -237,6 +254,25 @@ def test_a_table_that_would_overflow_the_budget_empties_the_cache(empty_table_ca
     crossing_table(3, 1502)  # 1501 more rows would overflow the budget
     assert list(diagram._tables) == [(3, 1502)]
     assert _held_rows() == 1501
+
+
+def test_gauss_events_share_the_table_budget(empty_table_cache):
+    from chebknot.heights import gauss_sequence
+
+    gauss_sequence(ConwayForm((1,) * 16, 17))
+    ms_and_params = diagram._tables[("events", 17)]  # the ms, then the parameters
+    assert len(ms_and_params) == 4 * 16 and (3, 17) not in diagram._tables
+    assert ms_and_params[:32] == tuple(m for m in range(51) if m % 3 and m % 17)
+    crossing_table(3, 17)
+    assert _held_rows() == 64 + 16
+    big = (diagram.TABLE_CACHE_ROWS + 8) // 4  # 4(b - 1) rows overflow the budget
+    big += big % 3 == 0
+    gauss_sequence(ConwayForm((1,) * (big - 1), big))
+    assert ("events", big) not in diagram._tables and _held_rows() == 80
+    fill = diagram.TABLE_CACHE_ROWS // 4 - 4  # fits alone, not with the 80 rows held
+    fill += fill % 3 == 0
+    gauss_sequence(ConwayForm((1,) * (fill - 1), fill))
+    assert list(diagram._tables) == [("events", fill)]
 
 
 def test_concurrent_callers_see_the_single_threaded_tables(empty_table_cache):

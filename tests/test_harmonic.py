@@ -121,6 +121,33 @@ def test_closed_form_crossing_indices_match_geometry():
                 assert (p.k, p.h) == (k_idx, h_idx)
 
 
+def test_closed_form_crossing_indices_are_the_crossing_table_order():
+    # A_k, B_k, C_k sit at slots 3k, 3k + 1, 3k + 2; for b = 3n + 2, A_n is
+    # last.  Every label below b = 300; beyond, the ends and the middle of
+    # each family, whose h runs by one per k.
+    from chebknot.diagram import crossing_table
+
+    for b in range(2, 3000):
+        if b % 3 == 0:
+            continue
+        rows = crossing_table(3, b)
+        for offset, point in enumerate("ABC"):
+            count = len(rows[offset::3])
+            ks = range(count) if b < 300 else sorted({0, 1, count // 2, count - 2, count - 1})
+            for k in ks:
+                h, k_index, *_ = rows[offset + 3 * k]
+                assert closed_form_crossing_indices(b, point, k) == (k_index, h), (b, point, k)
+
+
+@pytest.mark.parametrize(
+    "b, point, k",
+    [(9, "A", 0), (7, "A", 2), (7, "B", -1), (8, "A", 3), (8, "B", 2), (8, "C", 2), (7, "X", 0), (3, "C", 0)],
+)
+def test_closed_form_crossing_indices_refuse_what_is_not_a_crossing(b, point, k):
+    with pytest.raises(BDivisibleBy3 if b % 3 == 0 else IndexOutOfRange):
+        closed_form_crossing_indices(b, point, k)
+
+
 def test_mirror_equivalent_c_examples():
     assert mirror_equivalent_c(3, 5, 13) == 7
     assert mirror_equivalent_c(3, 4, 5) is None

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import fractions_with_crossing_number_up_to
+from chebknot import diagram
 from chebknot.bridge import fibonacci_fraction
-from chebknot.contfrac import Fraction
-from chebknot.diagram import ConwayForm, enumerate_crossings, minimal_diagram
-from chebknot.errors import EmptySequence, IsLink, NotGreaterThanOne
+from chebknot.contfrac import Fraction, eval_cf, is_amphicheiral
+from chebknot.diagram import ConwayForm, crossing_table, enumerate_crossings, minimal_diagram, twist_sign
+from chebknot.errors import ChebknotError, EmptySequence, IsLink, NotGreaterThanOne
 from chebknot.heights import (
     GaussSequence,
     HeightPolynomial,
@@ -80,6 +84,90 @@ def test_gauss_sequence_equals_sorted_reference():
             continue
         form = minimal_diagram(Fraction(alpha, beta)).form
         assert gauss_sequence(form).events == _sorted_gauss_events(form), (alpha, beta)
+
+
+def _reference_gauss(form: ConwayForm) -> tuple[tuple, tuple]:
+    """(events, ms) by one pass over the crossing_table rows, each row's
+    Gauss signs from its twist sign and xy_sign: the loop gauss_sequence
+    replaced with the three-family slices."""
+    b, signs = form.b, form.signs
+    slots: list = [None] * (3 * b)
+    at: list = [0] * (3 * b)
+    for i, (_, _, m_t, m_s, t, s, xy) in enumerate(crossing_table(3, b)):
+        zdiff = twist_sign(i, signs[i]) * xy
+        slots[m_t], at[m_t] = (t, zdiff), m_t
+        slots[m_s], at[m_s] = (s, -zdiff), m_s
+    return tuple(filter(None, slots)), tuple(filter(None, at))
+
+
+def _reference_roots_and_gaps(events: tuple, ms: tuple) -> tuple[tuple, tuple]:
+    """One root at the midpoint of each gap between events of opposite
+    signs, with the m of the event that opens it, in increasing order."""
+    pairs = [((e[0] + f[0]) / 2.0, m) for e, f, m in zip(events, events[1:], ms) if e[1] != f[1]]
+    return tuple(sorted(r for r, _ in pairs)), tuple(sorted(m for _, m in pairs))
+
+
+def _random_one_regular(rng: random.Random, n: int) -> tuple[int, ...]:
+    """n signs with no two consecutive sign changes and the last two equal."""
+    signs = [rng.choice((1, -1))]
+    changed = False
+    while len(signs) < n:
+        changed = not changed and rng.random() < 0.5
+        signs.append(-signs[-1] if changed else signs[-1])
+    if changed:  # the last two must agree
+        signs[-1] = signs[-2]
+    return tuple(signs)
+
+
+def _cold(b: int) -> None:
+    """Drop the cached C(3, b) table and events, so the next call builds them."""
+    diagram._tables.pop((3, b), None)
+    diagram._tables.pop(("events", b), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=st.integers(2, 2999), seed=st.integers(0, 2**32))
+def test_cold_gauss_sequences_and_heights_equal_the_row_loop(b, seed):
+    assume(b % 3)
+    form = ConwayForm(_random_one_regular(random.Random(seed), b - 1), b)
+    _cold(b)
+    g = gauss_sequence(form)
+    events, ms = _reference_gauss(form)
+    assert (g.events, g.ms, g.b) == (events, ms, b)
+    # the minimal diagram of the form's knot, at most as long as the form
+    value = abs(eval_cf(form.signs))
+    r = value if value > 1 else Fraction(value.num, value.den % value.num or 1)
+    assume(r > 1)
+    p_b = minimal_diagram(r).b
+    _cold(p_b)
+    p = parametrization(r)
+    events, ms = _reference_gauss(p.form)
+    assert (p.height.roots, p.height.gaps) == _reference_roots_and_gaps(events, ms)
+    assert p.height.leading_sign == events[0][1] and p.height.b == p.b == p_b <= b
+    assert p.height.is_odd_symmetric or not is_amphicheiral(r.num, r.den)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, 1.0, -1.0, True, None], ids=repr)
+def test_gauss_sequence_refuses_signs_that_are_not_plus_or_minus_one(sign):
+    with pytest.raises(ChebknotError, match="event signs must all be"):
+        GaussSequence(((0.5, 1), (0.2, sign), (-0.1, -1)))
+    with pytest.raises(ChebknotError, match="event signs must all be"):
+        GaussSequence(((0.5, sign), (-0.5, -1)), 2, (1, 5))
+
+
+@pytest.mark.parametrize(
+    "events, b, ms",
+    [
+        (((0.5, 1), (0.2, -1), (-0.2, -1), (-0.5, -1)), None, None),  # signs not odd
+        (((0.5, 1), (0.1, -1), (-0.5, -1)), None, None),  # parameters not symmetric
+        (((0.5, 1), (0.2, -1), (-0.2, 1), (-0.5, 1)), None, None),  # two roots
+        (((0.5, 1), (-0.5, 1)), 2, (1, 5)),  # no root
+        (((0.5, 1), (-0.5, -1)), 2, (1, 4)),  # ms not symmetric: 1 + 4 != 6
+    ],
+)
+def test_an_amphicheiral_input_that_is_not_odd_is_refused(events, b, ms):
+    with pytest.raises(ChebknotError, match="amphicheiral input did not give an odd height"):
+        build_height(GaussSequence(events, b, ms), amphicheiral=True)
 
 
 def test_count_sign_changes_basics():
