@@ -114,7 +114,7 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[str, dict]:
         "mirrored": md.mirrored,
     }
     text = f"{md.form.text()}  b={md.b}  mirrored={str(md.mirrored).lower()}"
-    if args.svg:
+    if args.svg is not None:  # an empty path is unwritable, not absent
         _write(args.svg, [render_diagram_svg(md.form)])
         text += f"  svg={args.svg}"
     return text, payload

@@ -34,7 +34,7 @@ from .errors import (
 from .trig import sin_sign
 
 
-# Bound on the error of crossing_table's t = cos(m*pi/ab), evaluated as
+# Bound on the error of enumerate_crossings' t = cos(m*pi/ab), evaluated as
 # cos(m*pi/ab) when 2m <= ab and as -cos((ab - m)*pi/ab) otherwise, for
 # ab < 2**53.  With u = 2**-53, math.pi, the product and the quotient each
 # round with relative error at most u, so the argument, at most pi/2, is
@@ -54,7 +54,8 @@ class CrossingPoint(NamedTuple):
     """One double point of the curve x = T_a(t), y = T_b(t).
 
     t = cos(m_t*pi/(a*b)) and s = cos(m_s*pi/(a*b)) are its two parameters,
-    xy_sign the exact sign of x'(t) y'(t).
+    computed by enumerate_crossings (crossing_table holds the integers
+    alone), and xy_sign the exact sign of x'(t) y'(t).
     """
 
     h: int
@@ -66,12 +67,13 @@ class CrossingPoint(NamedTuple):
     xy_sign: int
 
 
-# Rows the crossing-table cache holds over all (a, b); 4096 rows are about
-# 1 MB.  A table that would overflow the budget empties the cache first, so
-# traffic reusing a small table between overflows rebuilds it (4-10 us at
-# b <= 17) each time; no workload does.  Larger tables are never stored.
-# The same cache holds the C(3, b) events under ("events", b), one row per
-# m and one per parameter, each far smaller than a table row.
+# Rows the crossing-table cache holds over all (a, b); 4096 rows of five ints
+# are at most about 0.7 MB (104 bytes a row at b = 17, 179 at b = 4001, by
+# tracemalloc on Python 3.11).  A table that would overflow the budget empties
+# the cache first, so traffic reusing a small table between overflows
+# rebuilds it (4-10 us at b <= 17) each time; no workload does.  Larger
+# tables are never stored.  The same cache holds the C(3, b) events under
+# ("events", b), one row per m and one per parameter, each far smaller.
 TABLE_CACHE_ROWS = 4096
 _tables: dict[tuple, tuple] = {}
 _tables_lock = threading.Lock()
@@ -87,15 +89,13 @@ def _store(key: tuple, value: tuple) -> None:
             _tables[key] = value
 
 
-def crossing_table(a: int, b: int) -> list[tuple]:
-    """All (a-1)(b-1)/2 crossings of the curve by decreasing x, as plain
-    tuples with CrossingPoint's fields (h, k, m_t, m_s, t, s, xy_sign).
+def crossing_table(a: int, b: int) -> list[tuple[int, int, int, int, int]]:
+    """All (a-1)(b-1)/2 crossings of the curve by decreasing x, as tuples of
+    the integers (h, k, m_t, m_s, xy_sign); enumerate_crossings adds t and s.
 
-    Rows are in increasing order of the integer key nu, x = cos(nu*pi/b).
-    For a = 3 the keys are a permutation of 1..b-1 and each row goes
-    straight to its slot; for a >= 4 keys tie, and a stable sort keeps
-    their (k, h) generation order.  Tables are cached per (a, b) up to
-    TABLE_CACHE_ROWS rows in all; each call returns a new list.
+    Rows are sorted stably by the integer key nu, x = cos(nu*pi/b), so tied
+    keys (a >= 4) keep their (k, h) generation order.  Tables are cached per
+    (a, b) up to TABLE_CACHE_ROWS rows in all; each call returns a new list.
     """
     if a < 2 or b < 2:
         raise ChebknotError("degrees must be >= 2")
@@ -104,8 +104,8 @@ def crossing_table(a: int, b: int) -> list[tuple]:
     cached = _tables.get((a, b))  # a hit reads one entry and takes no lock
     if cached is not None:
         return list(cached)
-    ab, half, b2, cos, pi = a * b, a * b // 2, 2 * b, math.cos, math.pi
-    rows: list = [None] * (b - 1) if a == 3 else []
+    ab, b2 = a * b, 2 * b
+    rows: list[tuple[int, int, int, int, int]] = []
     keys: list[int] = []
     for k in range(1, a):
         kb, k_odd = k * b, k % 2
@@ -120,25 +120,10 @@ def crossing_table(a: int, b: int) -> list[tuple]:
                 xy = sign
             else:
                 mu, xy = b2 - mu, -sign
-            m_t = kb + ah
-            m_s = kb - ah if kb > ah else ah - kb
-            # t, s = cos(m*pi/ab), as -cos((ab - m)*pi/ab) when 2m > ab so
-            # that m and ab - m give exact negatives
-            row = (
-                h, k, m_t, m_s,
-                cos(m_t * pi / ab) if m_t <= half else -cos((ab - m_t) * pi / ab),
-                cos(m_s * pi / ab) if m_s <= half else -cos((ab - m_s) * pi / ab),
-                xy,
-            )
-            key = b - mu if k_odd else mu  # x = cos(key*pi/b)
-            if a == 3:  # the b - 1 keys are 1..b-1 in some order: a slot each
-                rows[key - 1] = row
-            else:
-                rows.append(row)
-                keys.append(key)
-    if a != 3:
-        rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
-    if len(rows) != (a - 1) * (b - 1) // 2 or None in rows:
+            rows.append((h, k, kb + ah, kb - ah if kb > ah else ah - kb, xy))
+            keys.append(b - mu if k_odd else mu)  # x = cos(key*pi/b)
+    rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+    if len(rows) != (a - 1) * (b - 1) // 2:
         raise ChebknotError("crossing count mismatch")
     _store((a, b), tuple(rows))
     return rows
@@ -173,12 +158,13 @@ def _a3_families(b: int) -> tuple[tuple[int, int, slice, slice], ...]:
 
 def _a3_events(b: int, by_m: Sequence[int]) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """The increasing event m of C(3, b), the m where by_m is not 0, and
-    their parameters by crossing_table's expression, cos(m*pi/3b).
+    their parameters by enumerate_crossings' rule.
 
     The events are symmetric, m and 3b - m, with none at 3b/2, so the first
-    b - 1 take cos(m*pi/3b) and the rest are their exact negatives.  Both
-    depend on b alone and are cached with the tables under ("events", b),
-    as one tuple of the ms then the parameters: 4(b - 1) rows.
+    b - 1 take the rule's first branch, cos(m*pi/3b), and the rest, by its
+    second, their exact negatives.  Both depend on b alone and are cached
+    with the tables under ("events", b), as one tuple of the ms then the
+    parameters: 4(b - 1) rows.
     """
     n = 2 * (b - 1)
     cached = _tables.get(("events", b))
@@ -194,8 +180,15 @@ def _a3_events(b: int, by_m: Sequence[int]) -> tuple[tuple[int, ...], tuple[floa
 
 
 def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
-    """The crossing_table rows as named CrossingPoint tuples."""
-    return list(map(CrossingPoint._make, crossing_table(a, b)))
+    """The crossing_table rows as named CrossingPoint tuples, with their
+    parameters t, s = cos(m*pi/ab), as -cos((ab - m)*pi/ab) when 2m > ab
+    so that m and ab - m give exact negatives (PARAMETER_ERROR)."""
+    rows = crossing_table(a, b)
+    ab, cos, pi, make = a * b, math.cos, math.pi, CrossingPoint._make
+    return [make((h, k, m_t, m_s,
+                  cos(m_t * pi / ab) if 2 * m_t <= ab else -cos((ab - m_t) * pi / ab),
+                  cos(m_s * pi / ab) if 2 * m_s <= ab else -cos((ab - m_s) * pi / ab), xy))
+            for h, k, m_t, m_s, xy in rows]
 
 
 class ConwayForm(Record):

@@ -61,18 +61,19 @@ def harmonic_conway(b: int, lam: int) -> ConwayForm:
 
 def crossing_sign_closed_form(b: int, lam: int, point: str, k: int) -> int:
     """Sign of the right-twist determinant D at one crossing of the
-    harmonic diagram with b = 3n + 1, by the closed sine formulas.
+    harmonic diagram with b = 3n + 1 or 3n + 2, by the closed sine formulas.
 
     The crossings with the i-th, (i+1)-th, (i+2)-th largest x, i = 3k + 1,
-    are labelled A_k, B_k, C_k.
+    are labelled A_k, B_k, C_k; for b = 3n + 2 the last crossing is A_n.
     """
-    if b % 3 != 1:
-        raise BDivisibleBy3(f"closed forms require b = 3n + 1, got {b}")
+    if b % 3 == 0:
+        raise BDivisibleBy3(f"b = {b} is divisible by 3")
     if gcd(lam, b) != 1:
         raise BadLambda(f"lambda = {lam} shares a factor with b = {b}")
     n = (b - 1) // 3
-    if not 0 <= k < n:
-        raise IndexOutOfRange(f"k = {k} outside 0..{n - 1}")
+    count = n + 1 if point == "A" and b % 3 == 2 else n
+    if not 0 <= k < count:
+        raise IndexOutOfRange(f"k = {k} outside 0..{count - 1}")
     if point == "A":
         return (-1) ** k * sin_sign((3 * k + 1) * lam, b)
     if point == "B":

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, is_amphicheiral
 from .diagram import PARAMETER_ERROR, ConwayForm, _a3_events, _a3_families, _minimal_diagram
+from .diagram import enumerate_crossings
 from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
 
 # Smallest |z(t) - z(s)| the float rule accepts.
@@ -154,12 +155,13 @@ class HeightPolynomial(Record):
         return "z"
 
     def zdiff_signs(self, a: int, b: int, rows: Sequence[tuple]) -> list[int]:
-        """decide_crossing's sign of z(t) - z(s) at each crossing_table row
-        of C(a, b), without the margins."""
+        """decide_crossing's sign of z(t) - z(s) at each row of
+        crossing_table(a, b), without the margins.  Off its own C(3, b) a
+        height reads t and s from enumerate_crossings(a, b)."""
         if b != self.b or a != 3:  # b is None exactly when gaps is
-            return [self.decide_crossing(a, b, h, k, t, s)[0] for h, k, _, _, t, s, _ in rows]
+            return [self.decide_crossing(a, b, p.h, p.k, p.t, p.s)[0] for p in enumerate_crossings(a, b)]
         gaps, lead, signs = self.gaps, self.leading_sign, []
-        for h, k, m_t, m_s, _, _, _ in rows:
+        for h, k, m_t, m_s, _ in rows:
             above = bisect_left(gaps, m_t)
             if (above - bisect_left(gaps, m_s)) % 2 == 0:
                 raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")

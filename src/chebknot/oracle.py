@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
 from .contfrac import eval_cf_projective, Fraction, Record
-from .diagram import crossing_table, twist_sign
+from .diagram import crossing_table, enumerate_crossings, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from .heights import FloatHeight, Parametrization
 from .trig import chebyshev, sin_sign
@@ -118,7 +118,7 @@ def measure_crossings(a: int, b: int, z: Callable[[float], float]) -> CurveSampl
     """
     height = z if hasattr(z, "decide_crossing") else FloatHeight(z)
     measured = []
-    for i, (h, k, _, _, t, s, xy) in enumerate(crossing_table(a, b)):
+    for i, (h, k, _, _, t, s, xy) in enumerate(enumerate_crossings(a, b)):
         zdiff, margin = height.decide_crossing(a, b, h, k, t, s)
         d = zdiff * xy
         measured.append(MeasuredCrossing(h, k, t, s, zdiff, xy, d, twist_sign(i, d), margin))
@@ -165,5 +165,5 @@ def verify_parametrization(r: Fraction, p: Parametrization) -> bool:
     rows = crossing_table(3, p.b)
     zdiffs = p.height.zdiff_signs(3, p.b, rows)
     signs = [twist_sign(i, zdiff * xy)
-             for i, (zdiff, (_, _, _, _, _, _, xy)) in enumerate(zip(zdiffs, rows))]
+             for i, (zdiff, (_, _, _, _, xy)) in enumerate(zip(zdiffs, rows))]
     return reproduces(r, _knot_of_twist_signs(signs))

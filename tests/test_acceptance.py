@@ -201,12 +201,10 @@ def test_criterion_08_closed_form_vs_numeric_oracle():
             lam = (2 * b - c) // 3
             sample = measure_crossings(3, b, ChebyshevHeight(c))
             pairs += 1
-            if b % 3 == 1:
-                n = (b - 1) // 3
-                for k in range(n):
-                    for point, i in (("A", 3 * k + 1), ("B", 3 * k + 2), ("C", 3 * k + 3)):
-                        if sample.crossings[i - 1].d_sign != crossing_sign_closed_form(b, lam, point, k):
-                            mismatches += 1
+            # slot i is A_k, B_k or C_k with k = i // 3, A_n last for b = 3n + 2
+            for i, crossing in enumerate(sample.crossings):
+                if crossing.d_sign != crossing_sign_closed_form(b, lam, "ABC"[i % 3], i // 3):
+                    mismatches += 1
             if 0 < 2 * lam < b:
                 if sample.conway_signs != harmonic_conway(b, lam).signs:
                     mismatches += 1

@@ -73,10 +73,10 @@ def test_diagram_text_and_svg(tmp_path, capsys):
 
 
 def test_diagram_svg_to_an_unwritable_path_exits_2(tmp_path, capsys):
-    path = tmp_path / "missing" / "x.svg"
-    code, out, err = run(capsys, "diagram", "9/2", "--svg", str(path))
-    assert code == 2
-    assert out == "" and "usage" in err and f"cannot write {str(path)!r}" in err
+    for path in (str(tmp_path / "missing" / "x.svg"), ""):  # an empty path is not "no --svg"
+        code, out, err = run(capsys, "diagram", "9/2", "--svg", path)
+        assert code == 2
+        assert out == "" and "usage" in err and f"cannot write {path!r}" in err
 
 
 def test_diagram_json(capsys):
@@ -163,9 +163,10 @@ def test_help_exits_0(capsys):
 
 
 def test_json_error_for_an_unwritable_svg_path(tmp_path, capsys):
-    code, out, err = run(capsys, "diagram", "9/2", "--svg", str(tmp_path), "--format", "json")
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == "UsageError"
+    for path in (str(tmp_path), ""):
+        code, out, err = run(capsys, "diagram", "9/2", "--svg", path, "--format", "json")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "UsageError"
 
 
 def test_harmonic_verb(capsys):

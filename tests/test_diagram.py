@@ -130,12 +130,19 @@ def _reference_rows(a: int, b: int) -> list[tuple]:
     return [row for _, row in keyed]
 
 
+def _integer_rows(rows: list[tuple]) -> list[tuple]:
+    """The reference rows without t and s: what crossing_table holds."""
+    return [row[:4] + row[6:] for row in rows]
+
+
 def test_crossing_table_equals_crossing_point_properties():
     for a in (2, 3, 4, 5, 7, 8, 11):
         for b in range(2, 200):
             if gcd(a, b) != 1:
                 continue
-            assert crossing_table(a, b) == _reference_rows(a, b), (a, b)
+            rows = _reference_rows(a, b)
+            assert crossing_table(a, b) == _integer_rows(rows), (a, b)
+            assert enumerate_crossings(a, b) == rows, (a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,7 +150,7 @@ def test_crossing_table_equals_crossing_point_properties():
 def test_cold_crossing_tables_equal_the_reference_rows(a, b):
     assume(gcd(a, b) == 1)
     diagram._tables.pop((a, b), None)  # build the table, not a cached copy
-    assert crossing_table(a, b) == _reference_rows(a, b)
+    assert crossing_table(a, b) == _integer_rows(_reference_rows(a, b))
 
 
 def test_enumerate_crossings_names_the_table_rows():
@@ -153,15 +160,15 @@ def test_enumerate_crossings_names_the_table_rows():
                 continue
             points = enumerate_crossings(a, b)
             table = crossing_table(a, b)
-            assert points == table, (a, b)
+            assert len(points) == len(table), (a, b)
             for p, row in zip(points, table):
                 assert type(p) is CrossingPoint
-                assert (p.h, p.k, p.m_t, p.m_s, p.t, p.s, p.xy_sign) == row
+                assert (p.h, p.k, p.m_t, p.m_s, p.xy_sign) == row
 
 
 def test_a3_keys_are_a_permutation_so_slots_equal_the_sort():
-    # crossing_table(3, b) puts each row at slot x_key - 1 with no sort;
-    # that equals the x_key sort exactly when the keys are 1..b-1
+    # the keys of crossing_table(3, b) are 1..b-1, so its sort puts each row
+    # at slot x_key - 1, the slots diagram._a3_families reads
     for b in range(2, 3000):
         if b % 3 == 0:
             continue
@@ -179,7 +186,7 @@ def test_a3_families_are_the_crossing_table_rows():
         families = diagram._a3_families(b)
         assert sorted(first for first, *_ in families) == [0, 1, 2], b
         for first, c, at_t, at_s in families:
-            _, _, m_t, m_s, _, _, xy = zip(*rows[first::3]) if first < b - 1 else [()] * 7
+            _, _, m_t, m_s, xy = zip(*rows[first::3]) if first < b - 1 else [()] * 5
             assert (m_t, m_s) == (tuple(m[at_t]), tuple(m[at_s])), (b, first)
             # the slots first, first + 3, ... alternate in parity
             even = c if first % 2 == 0 else -c
@@ -188,7 +195,7 @@ def test_a3_families_are_the_crossing_table_rows():
 
 @pytest.mark.parametrize("b", [997, 1000, 2003, 2995, 2999])
 def test_large_a3_tables_equal_the_x_key_sort(b):
-    assert crossing_table(3, b) == _reference_rows(3, b)
+    assert crossing_table(3, b) == _integer_rows(_reference_rows(3, b))
 
 
 @pytest.fixture
@@ -204,12 +211,31 @@ def _held_rows() -> int:
 def test_cached_tables_equal_the_reference_cold_and_warm(empty_table_cache):
     pairs = [(a, b) for a in (3, 4, 5, 7) for b in range(2, 200) if gcd(a, b) == 1]
     random.Random(8).shuffle(pairs)
-    for a, b in pairs:
+    for i, (a, b) in enumerate(pairs):
         assert (a, b) not in diagram._tables
+        rows = _reference_rows(a, b)
+        calls = [(crossing_table, _integer_rows(rows)), (enumerate_crossings, rows)]
         for _visit in ("cold", "warm"):
-            assert crossing_table(a, b) == _reference_rows(a, b), (a, b)
+            for call, want in calls[::-1] if i % 2 else calls:  # either one builds the table
+                assert call(a, b) == want, (a, b, call.__name__)
             assert (a, b) in diagram._tables
+        # == would let 1.0 or True stand for 1
+        assert {tuple(map(type, row)) for row in diagram._tables[(a, b)]} == {(int,) * 5}, (a, b)
         assert _held_rows() <= diagram.TABLE_CACHE_ROWS
+
+
+def test_a3_parameters_equal_the_event_parameters_bit_for_bit(empty_table_cache):
+    # enumerate_crossings and diagram._a3_events each write the rule
+    # cos(m*pi/3b), negated past m = 3b/2; their floats must agree
+    for b in range(2, 3000):
+        if b % 3 == 0:
+            continue
+        _, _, m_t, m_s, t, s, _ = zip(*enumerate_crossings(3, b))
+        by_m = dict(zip(m_t + m_s, t + s))
+        ms, params = diagram._a3_events(b, [m in by_m for m in range(3 * b)])  # cold: not yet cached
+        assert ms == tuple(sorted(by_m)), b
+        # no parameter is 0.0 or NaN, so == is equality of bits
+        assert params == tuple(map(by_m.__getitem__, ms)) and 0.0 not in params, b
 
 
 def test_crossing_table_returns_a_new_list_every_call(empty_table_cache):
@@ -217,7 +243,7 @@ def test_crossing_table_returns_a_new_list_every_call(empty_table_cache):
     first[0] = None
     first.append("extra")
     again = crossing_table(3, 5)
-    assert again == _reference_rows(3, 5)
+    assert again == _integer_rows(_reference_rows(3, 5))
     assert again is not crossing_table(3, 5)
 
 
@@ -282,7 +308,7 @@ def test_concurrent_callers_see_the_single_threaded_tables(empty_table_cache):
     def worker(i: int) -> int:
         order = degrees[i:] + degrees[:i]
         for b in order + order[::-1]:
-            assert crossing_table(3, b) == tables[b], b
+            assert crossing_table(3, b) == _integer_rows(tables[b]), b
             assert enumerate_crossings(3, b) == tables[b], b
         return i
 

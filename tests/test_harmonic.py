@@ -89,23 +89,35 @@ def test_closed_form_signs_worked_examples():
         crossing_sign_closed_form(7, 1, "A", 2)
     with pytest.raises(IndexOutOfRange):
         crossing_sign_closed_form(7, 1, "X", 0)
-    with pytest.raises(BDivisibleBy3):
-        crossing_sign_closed_form(8, 1, "A", 0)
+    # b = 3n + 2 has the same formulas and one more A, A_n; only 3 | b is refused
+    for lam, c, measured in ((1, 13, [1, -1, 1, -1, 1, -1, 1]), (3, 7, [1, -1, -1, 1, -1, -1, 1])):
+        assert [crossing_sign_closed_form(8, lam, "ABC"[i % 3], i // 3) for i in range(7)] == measured
+        assert [x.d_sign for x in measure_crossings(3, 8, ChebyshevHeight(c)).crossings] == measured
+    with pytest.raises(IndexOutOfRange):
+        crossing_sign_closed_form(8, 1, "B", 2)
+    with pytest.raises(IndexOutOfRange):
+        crossing_sign_closed_form(8, 1, "A", 3)
+    with pytest.raises(IndexOutOfRange):
+        crossing_sign_closed_form(8, 1, "A", -1)
+    for b in (6, 9, 12):
+        with pytest.raises(BDivisibleBy3):
+            crossing_sign_closed_form(b, 1, "A", 0)
 
 
 def test_closed_form_matches_conway_parity_rule():
     # D at decreasing-x position i recovers the Conway sign sign(sin(i*theta))
-    for b in range(4, 41, 3):  # b = 3n + 1
-        n = (b - 1) // 3
+    for b in range(4, 41):
+        if b % 3 == 0:
+            continue
         for lam in range(1, (b + 1) // 2):
             if gcd(lam, b) != 1 or 2 * lam >= b:
                 continue
             form = harmonic_conway(b, lam)
-            for k in range(n):
-                for point, i in (("A", 3 * k + 1), ("B", 3 * k + 2), ("C", 3 * k + 3)):
-                    d = crossing_sign_closed_form(b, lam, point, k)
-                    conway = d if i % 2 == 1 else -d
-                    assert conway == form.signs[i - 1]
+            # slot i is A_k, B_k or C_k with k = i // 3, A_n last for b = 3n + 2
+            for i in range(b - 1):
+                d = crossing_sign_closed_form(b, lam, "ABC"[i % 3], i // 3)
+                conway = d if i % 2 == 0 else -d
+                assert conway == form.signs[i], (b, lam, i)
 
 
 def test_closed_form_crossing_indices_match_geometry():

@@ -14,7 +14,7 @@ from conftest import fractions_with_crossing_number_up_to
 from chebknot import diagram
 from chebknot.bridge import fibonacci_fraction
 from chebknot.contfrac import Fraction, eval_cf, is_amphicheiral
-from chebknot.diagram import ConwayForm, crossing_table, enumerate_crossings, minimal_diagram, twist_sign
+from chebknot.diagram import ConwayForm, enumerate_crossings, minimal_diagram, twist_sign
 from chebknot.errors import ChebknotError, EmptySequence, IsLink, NotGreaterThanOne
 from chebknot.heights import (
     GaussSequence,
@@ -87,13 +87,13 @@ def test_gauss_sequence_equals_sorted_reference():
 
 
 def _reference_gauss(form: ConwayForm) -> tuple[tuple, tuple]:
-    """(events, ms) by one pass over the crossing_table rows, each row's
+    """(events, ms) by one pass over the enumerate_crossings rows, each row's
     Gauss signs from its twist sign and xy_sign: the loop gauss_sequence
     replaced with the three-family slices."""
     b, signs = form.b, form.signs
     slots: list = [None] * (3 * b)
     at: list = [0] * (3 * b)
-    for i, (_, _, m_t, m_s, t, s, xy) in enumerate(crossing_table(3, b)):
+    for i, (_, _, m_t, m_s, t, s, xy) in enumerate(enumerate_crossings(3, b)):
         zdiff = twist_sign(i, signs[i]) * xy
         slots[m_t], at[m_t] = (t, zdiff), m_t
         slots[m_s], at[m_s] = (s, -zdiff), m_s

@@ -104,12 +104,9 @@ def test_measured_equals_closed_form_sweep():
                 continue
             lam = (2 * b - c) // 3
             sample = measure_crossings(3, b, ChebyshevHeight(c))
-            if b % 3 == 1:
-                n = (b - 1) // 3
-                for k in range(n):
-                    for point, i in (("A", 3 * k + 1), ("B", 3 * k + 2), ("C", 3 * k + 3)):
-                        want = crossing_sign_closed_form(b, lam, point, k)
-                        assert sample.crossings[i - 1].d_sign == want
+            # slot i is A_k, B_k or C_k with k = i // 3, A_n last for b = 3n + 2
+            for i, crossing in enumerate(sample.crossings):
+                assert crossing.d_sign == crossing_sign_closed_form(b, lam, "ABC"[i % 3], i // 3), (b, c, i)
             if 0 < 2 * lam < b:
                 assert sample.conway_signs == harmonic_conway(b, lam).signs
 
