@@ -67,26 +67,15 @@ class CrossingPoint(NamedTuple):
     xy_sign: int
 
 
-# Rows the crossing-table cache holds over all (a, b); 4096 rows of five ints
-# are at most about 0.7 MB (104 bytes a row at b = 17, 179 at b = 4001, by
-# tracemalloc on Python 3.11).  A table that would overflow the budget empties
-# the cache first, so traffic reusing a small table between overflows
-# rebuilds it (4-10 us at b <= 17) each time; no workload does.  Larger
-# tables are never stored.  The same cache holds the C(3, b) events under
-# ("events", b), one row per m and one per parameter, each far smaller.
+# Rows the C(3, b) events cache holds over all b, one row per event m and
+# one per parameter, 4(b - 1) rows per b; 4096 rows are at most about 0.14 MB
+# (22 bytes a row at b = 17, 34 at b = 1024, by tracemalloc on Python 3.11).
+# A b whose events would overflow the budget empties the cache first, so
+# traffic reusing a small b between overflows recomputes its cosines each
+# time; no workload does.  Larger event sets are never stored.
 TABLE_CACHE_ROWS = 4096
-_tables: dict[tuple, tuple] = {}
-_tables_lock = threading.Lock()
-
-
-def _store(key: tuple, value: tuple) -> None:
-    """Cache value, len(value) rows, under key if it fits TABLE_CACHE_ROWS,
-    emptying the cache first when it would overflow the budget."""
-    with _tables_lock:
-        if len(value) <= TABLE_CACHE_ROWS and key not in _tables:
-            if sum(map(len, _tables.values())) + len(value) > TABLE_CACHE_ROWS:
-                _tables.clear()
-            _tables[key] = value
+_events: dict[int, tuple] = {}
+_events_lock = threading.Lock()
 
 
 def crossing_table(a: int, b: int) -> list[tuple[int, int, int, int, int]]:
@@ -94,16 +83,13 @@ def crossing_table(a: int, b: int) -> list[tuple[int, int, int, int, int]]:
     the integers (h, k, m_t, m_s, xy_sign); enumerate_crossings adds t and s.
 
     Rows are sorted stably by the integer key nu, x = cos(nu*pi/b), so tied
-    keys (a >= 4) keep their (k, h) generation order.  Tables are cached per
-    (a, b) up to TABLE_CACHE_ROWS rows in all; each call returns a new list.
+    keys (a >= 4) keep their (k, h) generation order.  Nothing is cached:
+    no construction or certificate reads the table.
     """
     if a < 2 or b < 2:
         raise ChebknotError("degrees must be >= 2")
-    if gcd(a, b) != 1:  # also refuses non-integers before they meet the cache
+    if gcd(a, b) != 1:  # also refuses non-integers
         raise NotCoprime(f"gcd({a}, {b}) != 1")
-    cached = _tables.get((a, b))  # a hit reads one entry and takes no lock
-    if cached is not None:
-        return list(cached)
     ab, b2 = a * b, 2 * b
     rows: list[tuple[int, int, int, int, int]] = []
     keys: list[int] = []
@@ -125,7 +111,6 @@ def crossing_table(a: int, b: int) -> list[tuple[int, int, int, int, int]]:
     rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
     if len(rows) != (a - 1) * (b - 1) // 2:
         raise ChebknotError("crossing count mismatch")
-    _store((a, b), tuple(rows))
     return rows
 
 
@@ -163,11 +148,11 @@ def _a3_events(b: int, by_m: Sequence[int]) -> tuple[tuple[int, ...], tuple[floa
     The events are symmetric, m and 3b - m, with none at 3b/2, so the first
     b - 1 take the rule's first branch, cos(m*pi/3b), and the rest, by its
     second, their exact negatives.  Both depend on b alone and are cached
-    with the tables under ("events", b), as one tuple of the ms then the
-    parameters: 4(b - 1) rows.
+    under b, as one tuple of the ms then the parameters: 4(b - 1) rows of
+    the TABLE_CACHE_ROWS budget.  A hit reads one entry and takes no lock.
     """
     n = 2 * (b - 1)
-    cached = _tables.get(("events", b))
+    cached = _events.get(b)
     if cached is None:
         ms = tuple(compress(range(3 * b), by_m))
         ab, cos, pi = 3 * b, math.cos, math.pi
@@ -175,7 +160,11 @@ def _a3_events(b: int, by_m: Sequence[int]) -> tuple[tuple[int, ...], tuple[floa
         cached = ms + tuple(head + [-t for t in reversed(head)])
         if len(cached) != 2 * n:
             raise ChebknotError("crossing parameters are not distinct")
-        _store(("events", b), cached)
+        if len(cached) <= TABLE_CACHE_ROWS:
+            with _events_lock:
+                if b not in _events and sum(map(len, _events.values())) + len(cached) > TABLE_CACHE_ROWS:
+                    _events.clear()
+                _events[b] = cached
     return cached[:n], cached[n:]
 
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import compress
+from itertools import compress, count
 from operator import add, itemgetter, ne, neg
 from typing import Callable, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, is_amphicheiral
 from .diagram import PARAMETER_ERROR, ConwayForm, _a3_events, _a3_families, _minimal_diagram
-from .diagram import enumerate_crossings
 from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
 
 # Smallest |z(t) - z(s)| the float rule accepts.
@@ -99,6 +98,29 @@ def _gauss_events(form: ConwayForm) -> tuple[tuple[int, ...], tuple[float, ...],
     return (*_a3_events(b, by_m), tuple(filter(None, by_m)))
 
 
+def _twist_signs(height: HeightPolynomial) -> list[int]:
+    """The twist signs of a height with gaps on its own C(3, b):
+    _gauss_events' family rule read backwards, at m_t and again at m_s.
+    z has the sign leading_sign up to the first gap and flips after each.
+    Where the readings differ both strands have one sign, and the first
+    such crossing by decreasing x is refused.
+    """
+    b, lead, gaps = height.b, height.leading_sign, height.gaps
+    sign = [lead] * (3 * b)  # z's sign at every m in range(3b)
+    for lo, hi in zip(gaps[::2], gaps[1::2] + (3 * b - 1,)):  # -lead after gaps[2i] through gaps[2i + 1]
+        sign[lo + 1:hi + 1] = [-lead] * (hi - lo)
+    twists, from_s = [0] * (b - 1), [0] * (b - 1)
+    for first, c, at_t, at_s in _a3_families(b):
+        twists[first::3] = sign[at_t] if c == 1 else map(neg, sign[at_t])
+        from_s[first::3] = map(neg, sign[at_s]) if c == 1 else sign[at_s]
+    if twists != from_s:
+        nu = next(compress(count(1), map(ne, twists, from_s)))  # the x key, slot + 1
+        k = 2 if nu % 3 == 0 else 1  # nu = 3h on C_k; b - 3h or 3h - b on A_k, B_k
+        h = next(x for x in (nu, b - nu, b + nu) if x % 3 == 0) // 3
+        raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")
+    return twists
+
+
 def gauss_sequence(form: ConwayForm) -> GaussSequence:
     """Gauss sequence forced on the diagram C(3, b) by a Conway form, read
     from the three crossing families by slices."""
@@ -118,8 +140,8 @@ class HeightPolynomial(Record):
     and, in gaps, one integer per root, in increasing order: the m of the
     Gauss event that opens the gap between consecutive event parameters
     in which the root sits.  A gap g puts its root below the parameter
-    cos(m*pi/3b) of every event m <= g and above every other one, so the
-    sign at an event is a count of gaps; roots is their float rendering.
+    cos(m*pi/3b) of every event m <= g and above every other one: z's sign
+    flips after each gap (_twist_signs); roots is their float rendering.
     """
 
     __slots__ = ("roots", "leading_sign", "b", "gaps")
@@ -136,6 +158,8 @@ class HeightPolynomial(Record):
             gaps = tuple(sorted(gaps))
             if type(b) is not int or b < 2 or b % 3 == 0 or len(gaps) != len(self.roots):
                 raise ChebknotError("need a degree b >= 2 prime to 3 and one gap per root")
+            if gaps and not 0 < gaps[0] <= gaps[-1] < 3 * b:
+                raise ChebknotError(f"gaps must be event ms, in 1..{3 * b - 1}")
         elif b is not None:
             raise ChebknotError("a degree b needs gaps")
         object.__setattr__(self, "b", b)
@@ -153,20 +177,6 @@ class HeightPolynomial(Record):
 
     def label(self) -> str:
         return "z"
-
-    def zdiff_signs(self, a: int, b: int, rows: Sequence[tuple]) -> list[int]:
-        """decide_crossing's sign of z(t) - z(s) at each row of
-        crossing_table(a, b), without the margins.  Off its own C(3, b) a
-        height reads t and s from enumerate_crossings(a, b)."""
-        if b != self.b or a != 3:  # b is None exactly when gaps is
-            return [self.decide_crossing(a, b, p.h, p.k, p.t, p.s)[0] for p in enumerate_crossings(a, b)]
-        gaps, lead, signs = self.gaps, self.leading_sign, []
-        for h, k, m_t, m_s, _ in rows:
-            above = bisect_left(gaps, m_t)
-            if (above - bisect_left(gaps, m_s)) % 2 == 0:
-                raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")
-            signs.append(lead if above % 2 == 0 else -lead)
-        return signs
 
     def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
         """Sign of z(t) - z(s) from root counts, with the distance from t or s

@@ -4,7 +4,7 @@ Given any height function z over the diagram x = T_a(t), y = T_b(t), this
 module decides every crossing from the closed-form parameter pairs: no
 root finding, no intersection search.  Each height type decides its own
 crossings: Chebyshev heights by exact integer trigonometry, constructed
-height polynomials by counting their root gaps in integers, other height
+height polynomials by reading their root gaps in integers, other height
 polynomials by counting their float roots above each parameter, and any
 other callable in floating point behind a separation floor.
 """
@@ -16,9 +16,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
 from .contfrac import eval_cf_projective, Fraction, Record
-from .diagram import crossing_table, enumerate_crossings, twist_sign
+from .diagram import enumerate_crossings, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
-from .heights import FloatHeight, Parametrization
+from .heights import FloatHeight, Parametrization, _twist_signs
 from .trig import chebyshev, sin_sign
 
 
@@ -159,11 +159,9 @@ def verify_parametrization(r: Fraction, p: Parametrization) -> bool:
     The diagram emitted for r represents S(r) itself even when the
     mirrored flag is set (the negated conjugate expansion evaluates to an
     equivalent fraction), so the recovered knot must compare as the same.
-    Only the twist signs are measured (the conway_signs of
-    measure_crossings), with no per-crossing record.
+    Only the twist signs are measured: by slices for a height with gaps on
+    its own diagram, else as the conway_signs of measure_crossings.
     """
-    rows = crossing_table(3, p.b)
-    zdiffs = p.height.zdiff_signs(3, p.b, rows)
-    signs = [twist_sign(i, zdiff * xy)
-             for i, (zdiff, (_, _, _, _, xy)) in enumerate(zip(zdiffs, rows))]
+    h = p.height
+    signs = _twist_signs(h) if h.b == p.b else measure_crossings(3, p.b, h).conway_signs
     return reproduces(r, _knot_of_twist_signs(signs))

@@ -149,7 +149,6 @@ def test_crossing_table_equals_crossing_point_properties():
 @given(a=st.integers(2, 13), b=st.integers(2, 600))
 def test_cold_crossing_tables_equal_the_reference_rows(a, b):
     assume(gcd(a, b) == 1)
-    diagram._tables.pop((a, b), None)  # build the table, not a cached copy
     assert crossing_table(a, b) == _integer_rows(_reference_rows(a, b))
 
 
@@ -200,27 +199,39 @@ def test_large_a3_tables_equal_the_x_key_sort(b):
 
 @pytest.fixture
 def empty_table_cache(monkeypatch):
-    """An empty crossing-table cache for one test; the shared one comes back after."""
-    monkeypatch.setattr(diagram, "_tables", {})
+    """An empty C(3, b) events cache for one test; the shared one comes back after."""
+    monkeypatch.setattr(diagram, "_events", {})
 
 
 def _held_rows() -> int:
-    return sum(len(rows) for rows in diagram._tables.values())
+    return sum(len(rows) for rows in diagram._events.values())
+
+
+def _reference_events(b: int) -> tuple[tuple, tuple]:
+    """The increasing event ms of C(3, b) and their parameters, from the
+    reference rows."""
+    _, _, m_t, m_s, t, s, _ = zip(*_reference_rows(3, b))
+    by_m = dict(zip(m_t + m_s, t + s))
+    return tuple(sorted(by_m)), tuple(by_m[m] for m in sorted(by_m))
+
+
+def _events_of(b: int) -> tuple[tuple, tuple]:
+    return diagram._a3_events(b, [m % 3 and m % b for m in range(3 * b)])
 
 
 def test_cached_tables_equal_the_reference_cold_and_warm(empty_table_cache):
     pairs = [(a, b) for a in (3, 4, 5, 7) for b in range(2, 200) if gcd(a, b) == 1]
     random.Random(8).shuffle(pairs)
     for i, (a, b) in enumerate(pairs):
-        assert (a, b) not in diagram._tables
         rows = _reference_rows(a, b)
         calls = [(crossing_table, _integer_rows(rows)), (enumerate_crossings, rows)]
+        if a == 3:
+            calls.append((lambda a, b: _events_of(b), _reference_events(b)))
         for _visit in ("cold", "warm"):
-            for call, want in calls[::-1] if i % 2 else calls:  # either one builds the table
+            for call, want in calls[::-1] if i % 2 else calls:
                 assert call(a, b) == want, (a, b, call.__name__)
-            assert (a, b) in diagram._tables
-        # == would let 1.0 or True stand for 1
-        assert {tuple(map(type, row)) for row in diagram._tables[(a, b)]} == {(int,) * 5}, (a, b)
+            # == would let 1.0 or True stand for 1
+            assert {tuple(map(type, row)) for row in crossing_table(a, b)} == {(int,) * 5}, (a, b)
         assert _held_rows() <= diagram.TABLE_CACHE_ROWS
 
 
@@ -238,8 +249,8 @@ def test_a3_parameters_equal_the_event_parameters_bit_for_bit(empty_table_cache)
         assert params == tuple(map(by_m.__getitem__, ms)) and 0.0 not in params, b
 
 
-def test_crossing_table_returns_a_new_list_every_call(empty_table_cache):
-    first = crossing_table(3, 5)  # built and stored
+def test_crossing_table_returns_a_new_list_every_call():
+    first = crossing_table(3, 5)
     first[0] = None
     first.append("extra")
     again = crossing_table(3, 5)
@@ -248,8 +259,12 @@ def test_crossing_table_returns_a_new_list_every_call(empty_table_cache):
 
 
 def test_cached_table_does_not_answer_invalid_degrees(empty_table_cache):
-    crossing_table(3, 5)
-    assert (3, 5) in diagram._tables
+    from chebknot.heights import gauss_sequence
+
+    gauss_sequence(ConwayForm((1,) * 4, 5))
+    assert 5 in diagram._events
+    with pytest.raises(TypeError):  # 5.0 == 5 would find the cached events
+        gauss_sequence(ConwayForm((1,) * 4, 5.0))
     with pytest.raises(TypeError):
         crossing_table(3, 5.0)
     with pytest.raises(TypeError):
@@ -262,54 +277,59 @@ def test_cached_table_does_not_answer_invalid_degrees(empty_table_cache):
 
 def test_table_cache_stays_within_its_row_budget(empty_table_cache):
     budget = diagram.TABLE_CACHE_ROWS
-    sizes = [b for b in range(1000, 3001, 200) if b % 3]
+    sizes = [b for b in range(250, 751, 50) if b % 3]  # 4(b - 1) rows each
     for b in sizes:
-        crossing_table(3, b)
+        _events_of(b)
         assert _held_rows() <= budget
-    assert (3, sizes[-1]) in diagram._tables  # the newest table fitting is held
-    oversized = next(b for b in range(budget + 2, budget + 9) if b % 3)
-    assert len(crossing_table(3, oversized)) == oversized - 1 > budget
-    assert (3, oversized) not in diagram._tables
+    assert sizes[-1] in diagram._events  # the newest events fitting are held
+    oversized = next(b for b in range(budget // 4 + 2, budget // 4 + 9) if b % 3)
+    assert len(_events_of(oversized)[0]) == 2 * (oversized - 1) > budget // 2
+    assert oversized not in diagram._events
     assert 0 < _held_rows() <= budget
 
 
 def test_a_table_that_would_overflow_the_budget_empties_the_cache(empty_table_cache):
-    for b in (1000, 1001, 1003):  # 3001 rows
-        crossing_table(3, b)
-    crossing_table(3, 1000)  # a hit
-    crossing_table(3, 1502)  # 1501 more rows would overflow the budget
-    assert list(diagram._tables) == [(3, 1502)]
-    assert _held_rows() == 1501
+    for b in (250, 251, 253):  # 3004 rows
+        _events_of(b)
+    _events_of(250)  # a hit
+    _events_of(377)  # 1504 more rows would overflow the budget
+    assert list(diagram._events) == [377]
+    assert _held_rows() == 1504
 
 
 def test_gauss_events_share_the_table_budget(empty_table_cache):
     from chebknot.heights import gauss_sequence
 
     gauss_sequence(ConwayForm((1,) * 16, 17))
-    ms_and_params = diagram._tables[("events", 17)]  # the ms, then the parameters
-    assert len(ms_and_params) == 4 * 16 and (3, 17) not in diagram._tables
+    ms_and_params = diagram._events[17]  # the ms, then the parameters
+    assert len(ms_and_params) == 4 * 16
     assert ms_and_params[:32] == tuple(m for m in range(51) if m % 3 and m % 17)
     crossing_table(3, 17)
-    assert _held_rows() == 64 + 16
+    assert _held_rows() == 64
     big = (diagram.TABLE_CACHE_ROWS + 8) // 4  # 4(b - 1) rows overflow the budget
     big += big % 3 == 0
     gauss_sequence(ConwayForm((1,) * (big - 1), big))
-    assert ("events", big) not in diagram._tables and _held_rows() == 80
-    fill = diagram.TABLE_CACHE_ROWS // 4 - 4  # fits alone, not with the 80 rows held
+    assert big not in diagram._events and _held_rows() == 64
+    fill = diagram.TABLE_CACHE_ROWS // 4 - 4  # fits alone, not with the 64 rows held
     fill += fill % 3 == 0
     gauss_sequence(ConwayForm((1,) * (fill - 1), fill))
-    assert list(diagram._tables) == [("events", fill)]
+    assert list(diagram._events) == [fill]
 
 
 def test_concurrent_callers_see_the_single_threaded_tables(empty_table_cache):
-    degrees = [b for b in range(700, 1500, 70) if b % 3]  # far more rows than the budget
+    from chebknot.heights import gauss_sequence
+
+    degrees = [b for b in range(700, 1500, 70) if b % 3]  # far more event rows than the budget
     tables = {b: _reference_rows(3, b) for b in degrees}
+    forms = {b: ConwayForm((1,) * (b - 1), b) for b in degrees}
+    sequences = {b: gauss_sequence(forms[b]) for b in degrees}
 
     def worker(i: int) -> int:
         order = degrees[i:] + degrees[:i]
         for b in order + order[::-1]:
             assert crossing_table(3, b) == _integer_rows(tables[b]), b
             assert enumerate_crossings(3, b) == tables[b], b
+            assert gauss_sequence(forms[b]) == sequences[b], b
         return i
 
     interval = sys.getswitchinterval()

@@ -120,9 +120,8 @@ def _random_one_regular(rng: random.Random, n: int) -> tuple[int, ...]:
 
 
 def _cold(b: int) -> None:
-    """Drop the cached C(3, b) table and events, so the next call builds them."""
-    diagram._tables.pop((3, b), None)
-    diagram._tables.pop(("events", b), None)
+    """Drop the cached C(3, b) events, so the next call builds them."""
+    diagram._events.pop(b, None)
 
 
 @settings(max_examples=100, deadline=None)

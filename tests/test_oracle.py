@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import random
+from bisect import bisect_left
 from math import gcd
 from pathlib import Path
 
@@ -13,9 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fractions_with_crossing_number_up_to
+from test_heights import _random_one_regular
+from chebknot import diagram
 from chebknot.bridge import Equivalence, canonicalize, equivalent
 from chebknot.contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
-from chebknot.diagram import PARAMETER_ERROR, crossing_table, enumerate_crossings
+from chebknot.diagram import PARAMETER_ERROR, ConwayForm, crossing_table, enumerate_crossings, twist_sign
 from chebknot.errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from chebknot.harmonic import (
     classify,
@@ -27,6 +30,8 @@ from chebknot.heights import (
     GaussSequence,
     HeightPolynomial,
     Parametrization,
+    _twist_signs,
+    build_height,
     gauss_sequence,
     parametrization,
 )
@@ -368,9 +373,41 @@ def test_gap_decisions_equal_the_float_rule_on_the_census():
 def test_gap_decisions_equal_the_float_rule_on_giants(seed):
     for alpha, beta, *_ in _bench_inputs().giants(seed):
         p = parametrization(Fraction(alpha, beta))
-        rows = crossing_table(3, p.b)
-        by_gaps = p.height.zdiff_signs(3, p.b, rows)
-        assert by_gaps == _float_twin(p.height).zdiff_signs(3, p.b, rows), (alpha, beta)
+        by_gaps = tuple(_twist_signs(p.height))
+        assert by_gaps == measure_crossings(3, p.b, _float_twin(p.height)).conway_signs, (alpha, beta)
+
+
+def _reference_twist_signs(height: HeightPolynomial) -> list[int]:
+    """The twist signs of a height with gaps on its own C(3, b) by one pass
+    over the crossing_table rows, two bisect_left calls a row: the loop
+    verify_parametrization replaced with the three-family slices."""
+    gaps, lead, signs = height.gaps, height.leading_sign, []
+    for i, (h, k, m_t, m_s, xy) in enumerate(crossing_table(3, height.b)):
+        above = bisect_left(gaps, m_t)  # roots above the parameter of m_t
+        if (above - bisect_left(gaps, m_s)) % 2 == 0:
+            raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")
+        signs.append(twist_sign(i, (lead if above % 2 == 0 else -lead) * xy))
+    return signs
+
+
+def _refusal(read, height: HeightPolynomial) -> str:
+    with pytest.raises(AmbiguousCrossing) as info:
+        read(height)
+    return str(info.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=st.integers(2, 2999), seed=st.integers(0, 2**32))
+def test_slice_twist_signs_equal_the_row_loop(b, seed):
+    assume(b % 3)
+    rng = random.Random(seed)
+    form = ConwayForm(_random_one_regular(rng, b - 1), b)
+    g = gauss_sequence(form)
+    height = build_height(g)
+    assert _twist_signs(height) == _reference_twist_signs(height) == list(form.signs)
+    moved = _moved_root(height, g, rng.randrange(height.degree), rng.choice((1, -1)))
+    if moved is not None:
+        assert _refusal(_twist_signs, moved) == _refusal(_reference_twist_signs, moved)
 
 
 @st.composite
@@ -401,14 +438,17 @@ def _with_height(p: Parametrization, height: HeightPolynomial) -> Parametrizatio
     return Parametrization(p.b, height, p.crossing_number, p.form, p.mirrored)
 
 
-def _moved_root(p, g, j: int, step: int) -> HeightPolynomial:
-    """p.height with root j moved into the neighbouring gap, one event up
-    (step = 1) or down (step = -1), its float rendered like the others."""
-    gaps = list(p.height.gaps)
+def _moved_root(height: HeightPolynomial, g, j: int, step: int) -> HeightPolynomial | None:
+    """height, built from g, with root j moved into the neighbouring gap,
+    one event up (step = 1) or down (step = -1), its float rendered like
+    the others; None when no gap lies there."""
+    gaps = list(height.gaps)
     i = g.ms.index(gaps[j]) + step
+    if not 0 <= i <= len(g.ms) - 2:  # the last gap an event opens
+        return None
     gaps[j] = g.ms[i]
     roots = [(g.events[g.ms.index(m)][0] + g.events[g.ms.index(m) + 1][0]) / 2.0 for m in gaps]
-    return HeightPolynomial(roots, p.height.leading_sign, p.b, gaps)
+    return HeightPolynomial(roots, height.leading_sign, height.b, gaps)
 
 
 def test_a_root_moved_to_a_neighbouring_gap_is_refused():
@@ -416,19 +456,33 @@ def test_a_root_moved_to_a_neighbouring_gap_is_refused():
     for r in _census_to(9):
         p = parametrization(r)
         g = gauss_sequence(p.form)
-        last = len(g.ms) - 2  # the last gap an event opens
-        for j, m in enumerate(p.height.gaps):
+        for j in range(p.height.degree):
             for step in (1, -1):
-                if not 0 <= g.ms.index(m) + step <= last:
+                height = _moved_root(p.height, g, j, step)
+                if height is None:
                     continue
-                moved = _with_height(p, _moved_root(p, g, j, step))
                 # exactly one event changes sign, so its crossing has strands of one sign
-                with pytest.raises(AmbiguousCrossing):
-                    verify_parametrization(r, moved)
-                with pytest.raises(AmbiguousCrossing):  # decide_crossing's exact branch
-                    measure_crossings(3, p.b, moved.height)
+                by_slices = _refusal(lambda z: verify_parametrization(r, _with_height(p, z)), height)
+                # decide_crossing's exact branch
+                assert by_slices == _refusal(lambda z: measure_crossings(3, p.b, z), height)
                 planted += 1
     assert planted > 4000
+
+
+def test_heights_without_gaps_get_the_same_verdicts():
+    for r in _census_to(10):
+        p = parametrization(r)
+        twin = _with_height(p, _float_twin(p.height))  # certified by measure_crossings
+        assert verify_parametrization(r, twin) is verify_parametrization(r, p) is True, r
+
+
+def test_constructions_are_certified_without_a_crossing_table(monkeypatch):
+    def no_table(a, b):
+        raise AssertionError(f"crossing_table({a}, {b}) called")
+
+    monkeypatch.setattr(diagram, "crossing_table", no_table)
+    for r in _census_to(10):
+        assert verify_parametrization(r, parametrization(r)) is True, r
 
 
 def test_a_flipped_leading_sign_gives_the_mirror_image():
@@ -453,8 +507,9 @@ def test_a_gap_height_off_its_own_diagram_takes_the_float_rule():
 
 @pytest.mark.parametrize(
     "b, gaps",
-    [(None, (1,)), (8, ()), (8, (1, 2)), (9, (1,)), (True, (1,)), (8, None)],
-    ids=["no-b", "too-few", "too-many", "b-divisible-by-3", "bool-b", "b-without-gaps"],
+    [(None, (1,)), (8, ()), (8, (1, 2)), (9, (1,)), (True, (1,)), (8, None), (8, (0,)), (8, (24,))],
+    ids=["no-b", "too-few", "too-many", "b-divisible-by-3", "bool-b", "b-without-gaps", "gap-below-events",
+         "gap-above-events"],
 )
 def test_height_polynomial_checks_its_gaps(b, gaps):
     with pytest.raises(ChebknotError):
