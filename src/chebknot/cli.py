@@ -165,6 +165,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, dict]:
     sample = measure_crossings(3, p.b, p.height)
     recovered = recover_knot(sample)
     ok = reproduces(frac, recovered)
+    text = (
+        f"verify {frac}: {'OK' if ok else 'FAILED'}  b={p.b}  deg(z)={p.height.degree}"
+        f"  min_margin={sample.min_separation:.3e}"
+    )
+    if args.format == "text":  # the report holds one dict per crossing: build it only to print it
+        return text, {}
     payload = {
         **sample.to_report(),
         "fraction": str(frac),
@@ -172,11 +178,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, dict]:
         "min_separation": sample.min_separation,  # smallest margin, see CurveSample
         "verdict": ok,
     }
-    status = "OK" if ok else "FAILED"
-    text = (
-        f"verify {frac}: {status}  b={p.b}  deg(z)={p.height.degree}"
-        f"  min_margin={sample.min_separation:.3e}"
-    )
     return text, payload
 
 

@@ -15,10 +15,10 @@ even i.
 from __future__ import annotations
 
 import math
-import threading
-from itertools import compress
+from itertools import repeat
 from math import gcd
-from typing import NamedTuple, Sequence
+from operator import neg
+from typing import Iterable, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, cn_from_regular, crossing_number, eval_cf, regular_expansion
 from .contfrac import _pgp_inner, _validate_one_regular
@@ -34,7 +34,7 @@ from .errors import (
 from .trig import sin_sign
 
 
-# Bound on the error of enumerate_crossings' t = cos(m*pi/ab), evaluated as
+# Bound on the error of _parameters' t = cos(m*pi/ab), evaluated as
 # cos(m*pi/ab) when 2m <= ab and as -cos((ab - m)*pi/ab) otherwise, for
 # ab < 2**53.  With u = 2**-53, math.pi, the product and the quotient each
 # round with relative error at most u, so the argument, at most pi/2, is
@@ -67,24 +67,13 @@ class CrossingPoint(NamedTuple):
     xy_sign: int
 
 
-# Rows the C(3, b) events cache holds over all b, one row per event m and
-# one per parameter, 4(b - 1) rows per b; 4096 rows are at most about 0.14 MB
-# (22 bytes a row at b = 17, 34 at b = 1024, by tracemalloc on Python 3.11).
-# A b whose events would overflow the budget empties the cache first, so
-# traffic reusing a small b between overflows recomputes its cosines each
-# time; no workload does.  Larger event sets are never stored.
-TABLE_CACHE_ROWS = 4096
-_events: dict[int, tuple] = {}
-_events_lock = threading.Lock()
-
-
 def crossing_table(a: int, b: int) -> list[tuple[int, int, int, int, int]]:
     """All (a-1)(b-1)/2 crossings of the curve by decreasing x, as tuples of
     the integers (h, k, m_t, m_s, xy_sign); enumerate_crossings adds t and s.
 
     Rows are sorted stably by the integer key nu, x = cos(nu*pi/b), so tied
-    keys (a >= 4) keep their (k, h) generation order.  Nothing is cached:
-    no construction or certificate reads the table.
+    keys (a >= 4) keep their (k, h) generation order.  No construction or
+    certificate reads the table.
     """
     if a < 2 or b < 2:
         raise ChebknotError("degrees must be >= 2")
@@ -141,43 +130,27 @@ def _a3_families(b: int) -> tuple[tuple[int, int, slice, slice], ...]:
     )
 
 
-def _a3_events(b: int, by_m: Sequence[int]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The increasing event m of C(3, b), the m where by_m is not 0, and
-    their parameters by enumerate_crossings' rule.
+def _a3_next_event(m: int, b: int) -> int:
+    """The least event above m of C(3, b), whose events are the m in 1..3b - 1
+    with 3 not dividing m, other than b and 2b: crossing_table's m_t and m_s."""
+    m += 1
+    while m % 3 == 0 or m % b == 0:
+        m += 1
+    return m
 
-    The events are symmetric, m and 3b - m, with none at 3b/2, so the first
-    b - 1 take the rule's first branch, cos(m*pi/3b), and the rest, by its
-    second, their exact negatives.  Both depend on b alone and are cached
-    under b, as one tuple of the ms then the parameters: 4(b - 1) rows of
-    the TABLE_CACHE_ROWS budget.  A hit reads one entry and takes no lock.
-    """
-    n = 2 * (b - 1)
-    cached = _events.get(b)
-    if cached is None:
-        ms = tuple(compress(range(3 * b), by_m))
-        ab, cos, pi = 3 * b, math.cos, math.pi
-        head = [cos(m * pi / ab) for m in ms[:b - 1]]
-        cached = ms + tuple(head + [-t for t in reversed(head)])
-        if len(cached) != 2 * n:
-            raise ChebknotError("crossing parameters are not distinct")
-        if len(cached) <= TABLE_CACHE_ROWS:
-            with _events_lock:
-                if b not in _events and sum(map(len, _events.values())) + len(cached) > TABLE_CACHE_ROWS:
-                    _events.clear()
-                _events[b] = cached
-    return cached[:n], cached[n:]
+
+def _parameters(ms: Iterable[int], ab: int) -> list[float]:
+    """The crossing parameter cos(m*pi/ab) of each m, as -cos((ab - m)*pi/ab)
+    when 2m > ab so that m and ab - m give exact negatives (PARAMETER_ERROR)."""
+    cos, pi = math.cos, math.pi
+    return [cos(m * pi / ab) if 2 * m <= ab else -cos((ab - m) * pi / ab) for m in ms]
 
 
 def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
-    """The crossing_table rows as named CrossingPoint tuples, with their
-    parameters t, s = cos(m*pi/ab), as -cos((ab - m)*pi/ab) when 2m > ab
-    so that m and ab - m give exact negatives (PARAMETER_ERROR)."""
-    rows = crossing_table(a, b)
-    ab, cos, pi, make = a * b, math.cos, math.pi, CrossingPoint._make
-    return [make((h, k, m_t, m_s,
-                  cos(m_t * pi / ab) if 2 * m_t <= ab else -cos((ab - m_t) * pi / ab),
-                  cos(m_s * pi / ab) if 2 * m_s <= ab else -cos((ab - m_s) * pi / ab), xy))
-            for h, k, m_t, m_s, xy in rows]
+    """The crossing_table rows as named CrossingPoint tuples, with t and s by _parameters."""
+    h, k, m_t, m_s, xy = zip(*crossing_table(a, b))  # never empty: a, b >= 2 coprime
+    rows = zip(h, k, m_t, m_s, _parameters(m_t, a * b), _parameters(m_s, a * b), xy)
+    return list(map(tuple.__new__, repeat(CrossingPoint), rows))  # CrossingPoint._make, unchecked
 
 
 class ConwayForm(Record):
@@ -241,7 +214,7 @@ def _minimal_diagram(r: Fraction) -> tuple[MinimalDiagram, int]:
         conj = regular_expansion(Fraction(r.num, r.num - r.den))
         if len(conj) != other:
             raise ChebknotError(f"expansion lengths of {r} do not add up to 3N - 2")
-        form = ConwayForm(tuple(-t for t in conj.terms), other + 1)
+        form = ConwayForm(tuple(map(neg, conj.terms)), other + 1)
         mirrored = True
     if not (n_cross < form.b and 2 * form.b < 3 * n_cross):
         raise ChebknotError(f"diagram degree bound violated for {r}")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import compress, count
+from itertools import compress, count, islice, repeat
 from operator import add, itemgetter, ne, neg
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, is_amphicheiral
-from .diagram import PARAMETER_ERROR, ConwayForm, _a3_events, _a3_families, _minimal_diagram
+from .diagram import PARAMETER_ERROR, ConwayForm, _a3_families, _a3_next_event, _minimal_diagram, _parameters
 from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
 
 # Smallest |z(t) - z(s)| the float rule accepts.
@@ -79,9 +79,10 @@ class GaussSequence(Record):
         return len(self.events)
 
 
-def _gauss_events(form: ConwayForm) -> tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]]:
-    """The m, parameter and Gauss sign of every event of C(3, b) under a
-    Conway form, by increasing m: decreasing parameter.
+def _gauss_signs(form: ConwayForm) -> tuple[list[int], list[int]]:
+    """The Gauss sign of C(3, b) under a Conway form at every m in
+    range(3b), 0 where m is not an event, and the signs alone, by
+    increasing m: decreasing parameter.
 
     The twist sign at decreasing-x slot i asks for the sign
     (-1)^i * twist * xy_sign of z(t) - z(s) at that crossing, by the
@@ -90,17 +91,20 @@ def _gauss_events(form: ConwayForm) -> tuple[tuple[int, ...], tuple[float, ...],
     at m_t, so each family's signs are one slice of the form's.
     """
     b, twists = form.b, form.signs
-    by_m = [0] * (3 * b)  # the Gauss sign at each event m, 0 elsewhere
+    by_m = [0] * (3 * b)
     for first, c, at_t, at_s in _a3_families(b):
         run = twists[first::3]
         flipped = tuple(map(neg, run))
         by_m[at_t], by_m[at_s] = (run, flipped) if c == 1 else (flipped, run)
-    return (*_a3_events(b, by_m), tuple(filter(None, by_m)))
+    signs = list(filter(None, by_m))
+    if len(signs) != 2 * (b - 1):
+        raise ChebknotError("crossing parameters are not distinct")
+    return by_m, signs
 
 
 def _twist_signs(height: HeightPolynomial) -> list[int]:
     """The twist signs of a height with gaps on its own C(3, b):
-    _gauss_events' family rule read backwards, at m_t and again at m_s.
+    _gauss_signs' family rule read backwards, at m_t and again at m_s.
     z has the sign leading_sign up to the first gap and flips after each.
     Where the readings differ both strands have one sign, and the first
     such crossing by decreasing x is refused.
@@ -124,8 +128,9 @@ def _twist_signs(height: HeightPolynomial) -> list[int]:
 def gauss_sequence(form: ConwayForm) -> GaussSequence:
     """Gauss sequence forced on the diagram C(3, b) by a Conway form, read
     from the three crossing families by slices."""
-    ms, params, signs = _gauss_events(form)
-    return GaussSequence(tuple(zip(params, signs)), form.b, ms)
+    by_m, signs = _gauss_signs(form)
+    ms = tuple(compress(range(3 * form.b), by_m))
+    return GaussSequence(tuple(zip(_parameters(ms, 3 * form.b), signs)), form.b, ms)
 
 
 def count_sign_changes(g: GaussSequence) -> int:
@@ -136,12 +141,13 @@ def count_sign_changes(g: GaussSequence) -> int:
 class HeightPolynomial(Record):
     """Real polynomial stored as leading sign times a product of (t - r).
 
-    A height built on the diagram C(3, b) by build_height also keeps b
-    and, in gaps, one integer per root, in increasing order: the m of the
-    Gauss event that opens the gap between consecutive event parameters
-    in which the root sits.  A gap g puts its root below the parameter
-    cos(m*pi/3b) of every event m <= g and above every other one: z's sign
-    flips after each gap (_twist_signs); roots is their float rendering.
+    A height built on the diagram C(3, b) also keeps b and, in gaps, one
+    integer per root, in increasing order: the m of the Gauss event that
+    opens the gap between consecutive event parameters in which the root
+    sits.  A gap g puts its root below the parameter cos(m*pi/3b) of every
+    event m <= g and above every other one: z's sign flips after each gap
+    (_twist_signs).  roots is their float rendering, which parametrization
+    leaves for __getattr__ to derive on first read and keep.
     """
 
     __slots__ = ("roots", "leading_sign", "b", "gaps")
@@ -165,9 +171,27 @@ class HeightPolynomial(Record):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "gaps", gaps)
 
+    @classmethod
+    def _of_gaps(cls, leading_sign: int, b: int, gaps: tuple[int, ...]) -> HeightPolynomial:
+        """The height on C(3, b) with these increasing gaps, each an event below the last."""
+        height = object.__new__(cls)
+        for name, value in (("leading_sign", leading_sign), ("b", b), ("gaps", gaps)):
+            object.__setattr__(height, name, value)
+        return height
+
+    def __getattr__(self, name: str) -> tuple[float, ...]:
+        # only unset slots get here, and roots is unset only after _of_gaps
+        if name != "roots":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        b, gaps = self.b, self.gaps[::-1]  # decreasing gaps give increasing roots
+        nexts = map(_a3_next_event, gaps, repeat(b))
+        roots = tuple(_midpoints(_parameters(gaps, 3 * b), _parameters(nexts, 3 * b)))
+        object.__setattr__(self, "roots", roots)
+        return roots
+
     @property
     def degree(self) -> int:
-        return len(self.roots)
+        return len(self.roots if self.gaps is None else self.gaps)
 
     def __call__(self, t: float) -> float:
         v = float(self.leading_sign)
@@ -226,6 +250,11 @@ class HeightPolynomial(Record):
         return body if self.leading_sign > 0 else "-" + body
 
 
+def _midpoints(lo: Iterable[float], hi: Iterable[float]) -> list[float]:
+    """The midpoint of each pair of parameters: the root in the gap between them."""
+    return [(p + q) / 2.0 for p, q in zip(lo, hi)]
+
+
 def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomial:
     """Height polynomial with one root per Gauss sign change.
 
@@ -238,23 +267,16 @@ def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomi
     """
     if not g.events:
         raise EmptySequence("empty Gauss sequence")
-    return _height(g.parameters, g.signs, g.b, g.ms, amphicheiral)
-
-
-def _height(params: Sequence[float], signs: Sequence[int], b: int | None,
-            ms: Sequence[int] | None, amphicheiral: bool) -> HeightPolynomial:
-    """build_height's rule on the parameters, signs and, with b, the ms of
-    a non-empty Gauss sequence, as tuples."""
+    params, signs, ms = g.parameters, g.signs, g.ms
     changes = list(map(ne, signs, signs[1:]))
-    roots = [(p + q) / 2.0 for p, q in compress(zip(params, params[1:]), changes)]
-    gaps = None if ms is None else compress(ms, changes)
+    roots = _midpoints(compress(params, changes), compress(params[1:], changes))
     if amphicheiral:
         # m_i + m_{-1-i} = 3b (t_i + t_{-1-i} = 0 without ms), s_{-1-i} = -s_i
-        keys, total = (params, 0.0) if ms is None else (ms, 3 * b)
+        keys, total = (params, 0.0) if ms is None else (ms, 3 * g.b)
         if not (len(roots) % 2 == 1 and set(map(add, keys, keys[::-1])) == {total}
                 and signs[::-1] == tuple(map(neg, signs))):
             raise ChebknotError("amphicheiral input did not give an odd height")
-    return HeightPolynomial(roots, signs[0], b, gaps)
+    return HeightPolynomial(roots, signs[0], g.b, None if ms is None else compress(ms, changes))
 
 
 class Parametrization(Record):
@@ -281,15 +303,19 @@ class Parametrization(Record):
 
 
 def parametrization(r: Fraction) -> Parametrization:
-    """Minimal diagram, Gauss sequence and height polynomial for S(r).
-
-    The degrees always satisfy b + deg C = 3N.
+    """Minimal diagram, Gauss signs and height polynomial for S(r), in
+    integers: the height's gaps are the events whose Gauss sign differs
+    from the next event's.  The degrees always satisfy b + deg C = 3N.
     """
     if r.is_positive and not r.is_knot:
         raise IsLink(f"{r} defines a two-component link")
     md, n_cross = _minimal_diagram(r)
-    ms, params, signs = _gauss_events(md.form)
-    height = _height(params, signs, md.b, ms, is_amphicheiral(r.num, r.den))
+    by_m, signs = _gauss_signs(md.form)
+    gaps = tuple(compress(compress(range(3 * md.b), by_m), map(ne, signs, islice(signs, 1, None))))
+    # an odd height needs odd events and signs, by_m[3b - m] = -by_m[m], and an odd degree
+    if is_amphicheiral(r.num, r.den) and not (len(gaps) % 2 == 1 and by_m[:0:-1] == list(map(neg, by_m[1:]))):
+        raise ChebknotError("amphicheiral input did not give an odd height")
+    height = HeightPolynomial._of_gaps(signs[0], md.b, gaps)
     if md.b + height.degree != 3 * n_cross:
         raise ChebknotError(f"degree identity violated for {r}")
     return Parametrization(md.b, height, n_cross, md.form, md.mirrored)

@@ -8,9 +8,11 @@ crossing number.
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction as StdFraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 
 def eval_cf_oracle(terms) -> StdFraction:
@@ -87,3 +89,12 @@ def coprime_pairs(limit: int):
         for beta in range(1, alpha):
             if gcd(alpha, beta) == 1:
                 yield alpha, beta
+
+
+def bench_inputs():
+    """The benchmark's seeded input generator, which does not import chebknot."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

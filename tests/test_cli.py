@@ -15,6 +15,7 @@ import pytest
 import chebknot
 from chebknot.cli import main
 from chebknot.harmonic import HarmonicSpec, classify
+from chebknot.oracle import CurveSample
 
 
 def run(capsys, *argv):
@@ -219,6 +220,16 @@ def test_verify_verb(capsys):
     code, out, _ = run(capsys, "verify", "9/2")
     assert code == 0
     assert "OK" in out
+
+
+def test_text_verify_builds_no_report(capsys, monkeypatch):
+    def no_report(self):
+        raise AssertionError("CurveSample.to_report called")
+
+    monkeypatch.setattr(CurveSample, "to_report", no_report)
+    code, out, _ = run(capsys, "verify", "2001/1")
+    assert code == 0
+    assert out.startswith("verify 2001/1: OK  b=3001  deg(z)=3002  min_margin=")
 
 
 def test_verify_json_report(capsys):

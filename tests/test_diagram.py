@@ -6,6 +6,7 @@ import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from math import gcd
 
 import pytest
@@ -34,6 +35,7 @@ from chebknot.errors import (
     NotGreaterThanOne,
     NotPGPForm,
 )
+from chebknot.heights import gauss_sequence
 from chebknot.trig import sin_sign
 
 
@@ -197,16 +199,6 @@ def test_large_a3_tables_equal_the_x_key_sort(b):
     assert crossing_table(3, b) == _integer_rows(_reference_rows(3, b))
 
 
-@pytest.fixture
-def empty_table_cache(monkeypatch):
-    """An empty C(3, b) events cache for one test; the shared one comes back after."""
-    monkeypatch.setattr(diagram, "_events", {})
-
-
-def _held_rows() -> int:
-    return sum(len(rows) for rows in diagram._events.values())
-
-
 def _reference_events(b: int) -> tuple[tuple, tuple]:
     """The increasing event ms of C(3, b) and their parameters, from the
     reference rows."""
@@ -216,10 +208,12 @@ def _reference_events(b: int) -> tuple[tuple, tuple]:
 
 
 def _events_of(b: int) -> tuple[tuple, tuple]:
-    return diagram._a3_events(b, [m % 3 and m % b for m in range(3 * b)])
+    """The event ms of C(3, b) and their parameters, as gauss_sequence computes them."""
+    g = gauss_sequence(ConwayForm((1,) * (b - 1), b))
+    return g.ms, g.parameters
 
 
-def test_cached_tables_equal_the_reference_cold_and_warm(empty_table_cache):
+def test_cached_tables_equal_the_reference_cold_and_warm():
     pairs = [(a, b) for a in (3, 4, 5, 7) for b in range(2, 200) if gcd(a, b) == 1]
     random.Random(8).shuffle(pairs)
     for i, (a, b) in enumerate(pairs):
@@ -227,26 +221,38 @@ def test_cached_tables_equal_the_reference_cold_and_warm(empty_table_cache):
         calls = [(crossing_table, _integer_rows(rows)), (enumerate_crossings, rows)]
         if a == 3:
             calls.append((lambda a, b: _events_of(b), _reference_events(b)))
-        for _visit in ("cold", "warm"):
+        for _visit in ("first", "again"):
             for call, want in calls[::-1] if i % 2 else calls:
                 assert call(a, b) == want, (a, b, call.__name__)
             # == would let 1.0 or True stand for 1
             assert {tuple(map(type, row)) for row in crossing_table(a, b)} == {(int,) * 5}, (a, b)
-        assert _held_rows() <= diagram.TABLE_CACHE_ROWS
 
 
-def test_a3_parameters_equal_the_event_parameters_bit_for_bit(empty_table_cache):
-    # enumerate_crossings and diagram._a3_events each write the rule
-    # cos(m*pi/3b), negated past m = 3b/2; their floats must agree
+def test_a3_events_are_the_closed_form_set():
+    # the m in 1..3b-1 with 3 not dividing m, other than b and 2b, which
+    # diagram._a3_next_event steps through from 0
+    for b in range(2, 3000):
+        if b % 3 == 0:
+            continue
+        _, _, m_t, m_s, _ = zip(*crossing_table(3, b))
+        closed = [m for m in range(1, 3 * b) if m % 3 and m not in (b, 2 * b)]
+        assert sorted(m_t + m_s) == closed, b
+        assert list(map(diagram._a3_next_event, [0, *closed[:-1]], repeat(b))) == closed, b
+
+
+def test_a3_parameters_equal_the_event_parameters_bit_for_bit():
+    # gauss_sequence's event parameters and enumerate_crossings' t and s,
+    # each computed on every call, agree with the reference rule
     for b in range(2, 3000):
         if b % 3 == 0:
             continue
         _, _, m_t, m_s, t, s, _ = zip(*enumerate_crossings(3, b))
         by_m = dict(zip(m_t + m_s, t + s))
-        ms, params = diagram._a3_events(b, [m in by_m for m in range(3 * b)])  # cold: not yet cached
+        ms, params = _events_of(b)
         assert ms == tuple(sorted(by_m)), b
         # no parameter is 0.0 or NaN, so == is equality of bits
         assert params == tuple(map(by_m.__getitem__, ms)) and 0.0 not in params, b
+        assert params == tuple(parameter_value(m, 3 * b) for m in ms), b
 
 
 def test_crossing_table_returns_a_new_list_every_call():
@@ -258,12 +264,9 @@ def test_crossing_table_returns_a_new_list_every_call():
     assert again is not crossing_table(3, 5)
 
 
-def test_cached_table_does_not_answer_invalid_degrees(empty_table_cache):
-    from chebknot.heights import gauss_sequence
-
+def test_cached_table_does_not_answer_invalid_degrees():
     gauss_sequence(ConwayForm((1,) * 4, 5))
-    assert 5 in diagram._events
-    with pytest.raises(TypeError):  # 5.0 == 5 would find the cached events
+    with pytest.raises(TypeError):  # ConwayForm accepts 5.0, as 5.0 == 5
         gauss_sequence(ConwayForm((1,) * 4, 5.0))
     with pytest.raises(TypeError):
         crossing_table(3, 5.0)
@@ -275,51 +278,8 @@ def test_cached_table_does_not_answer_invalid_degrees(empty_table_cache):
         crossing_table(1, 5)
 
 
-def test_table_cache_stays_within_its_row_budget(empty_table_cache):
-    budget = diagram.TABLE_CACHE_ROWS
-    sizes = [b for b in range(250, 751, 50) if b % 3]  # 4(b - 1) rows each
-    for b in sizes:
-        _events_of(b)
-        assert _held_rows() <= budget
-    assert sizes[-1] in diagram._events  # the newest events fitting are held
-    oversized = next(b for b in range(budget // 4 + 2, budget // 4 + 9) if b % 3)
-    assert len(_events_of(oversized)[0]) == 2 * (oversized - 1) > budget // 2
-    assert oversized not in diagram._events
-    assert 0 < _held_rows() <= budget
-
-
-def test_a_table_that_would_overflow_the_budget_empties_the_cache(empty_table_cache):
-    for b in (250, 251, 253):  # 3004 rows
-        _events_of(b)
-    _events_of(250)  # a hit
-    _events_of(377)  # 1504 more rows would overflow the budget
-    assert list(diagram._events) == [377]
-    assert _held_rows() == 1504
-
-
-def test_gauss_events_share_the_table_budget(empty_table_cache):
-    from chebknot.heights import gauss_sequence
-
-    gauss_sequence(ConwayForm((1,) * 16, 17))
-    ms_and_params = diagram._events[17]  # the ms, then the parameters
-    assert len(ms_and_params) == 4 * 16
-    assert ms_and_params[:32] == tuple(m for m in range(51) if m % 3 and m % 17)
-    crossing_table(3, 17)
-    assert _held_rows() == 64
-    big = (diagram.TABLE_CACHE_ROWS + 8) // 4  # 4(b - 1) rows overflow the budget
-    big += big % 3 == 0
-    gauss_sequence(ConwayForm((1,) * (big - 1), big))
-    assert big not in diagram._events and _held_rows() == 64
-    fill = diagram.TABLE_CACHE_ROWS // 4 - 4  # fits alone, not with the 64 rows held
-    fill += fill % 3 == 0
-    gauss_sequence(ConwayForm((1,) * (fill - 1), fill))
-    assert list(diagram._events) == [fill]
-
-
-def test_concurrent_callers_see_the_single_threaded_tables(empty_table_cache):
-    from chebknot.heights import gauss_sequence
-
-    degrees = [b for b in range(700, 1500, 70) if b % 3]  # far more event rows than the budget
+def test_concurrent_callers_see_the_single_threaded_tables():
+    degrees = [b for b in range(700, 1500, 70) if b % 3]
     tables = {b: _reference_rows(3, b) for b in degrees}
     forms = {b: ConwayForm((1,) * (b - 1), b) for b in degrees}
     sequences = {b: gauss_sequence(forms[b]) for b in degrees}
@@ -339,7 +299,6 @@ def test_concurrent_callers_see_the_single_threaded_tables(empty_table_cache):
             assert sorted(pool.map(worker, range(4), timeout=120)) == [0, 1, 2, 3]
     finally:
         sys.setswitchinterval(interval)
-    assert 0 < _held_rows() <= diagram.TABLE_CACHE_ROWS
 
 
 def _chebyshev_derivative(n: int, t: float) -> float:

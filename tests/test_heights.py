@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from itertools import compress
 from math import gcd
+from operator import add, ne, neg
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fractions_with_crossing_number_up_to
-from chebknot import diagram
+from conftest import bench_inputs, fractions_with_crossing_number_up_to
 from chebknot.bridge import fibonacci_fraction
 from chebknot.contfrac import Fraction, eval_cf, is_amphicheiral
 from chebknot.diagram import ConwayForm, enumerate_crossings, minimal_diagram, twist_sign
@@ -19,6 +23,7 @@ from chebknot.errors import ChebknotError, EmptySequence, IsLink, NotGreaterThan
 from chebknot.heights import (
     GaussSequence,
     HeightPolynomial,
+    Parametrization,
     build_height,
     count_sign_changes,
     gauss_sequence,
@@ -100,11 +105,31 @@ def _reference_gauss(form: ConwayForm) -> tuple[tuple, tuple]:
     return tuple(filter(None, slots)), tuple(filter(None, at))
 
 
-def _reference_roots_and_gaps(events: tuple, ms: tuple) -> tuple[tuple, tuple]:
-    """One root at the midpoint of each gap between events of opposite
-    signs, with the m of the event that opens it, in increasing order."""
-    pairs = [((e[0] + f[0]) / 2.0, m) for e, f, m in zip(events, events[1:], ms) if e[1] != f[1]]
-    return tuple(sorted(r for r, _ in pairs)), tuple(sorted(m for _, m in pairs))
+def _eager_height(events: tuple, b: int, ms: tuple, amphicheiral: bool) -> HeightPolynomial:
+    """The reference height of a C(3, b) Gauss sequence's events and ms,
+    by floats: one midpoint of event parameters per Gauss sign change, all
+    computed at once, and the amphicheiral check on the ms."""
+    params, signs = tuple(p for p, _ in events), tuple(s for _, s in events)
+    changes = list(map(ne, signs, signs[1:]))
+    roots = [(p + q) / 2.0 for p, q in compress(zip(params, params[1:]), changes)]
+    if amphicheiral:
+        if not (len(roots) % 2 == 1 and set(map(add, ms, ms[::-1])) == {3 * b}
+                and signs[::-1] == tuple(map(neg, signs))):
+            raise ChebknotError("amphicheiral input did not give an odd height")
+    return HeightPolynomial(roots, signs[0], b, compress(ms, changes))
+
+
+def _assert_derived_roots_are_the_eager_midpoints(r: Fraction) -> Parametrization:
+    p = parametrization(r)
+    with pytest.raises(AttributeError):  # construction stores no roots
+        HeightPolynomial.roots.__get__(p.height)
+    events, ms = _reference_gauss(p.form)
+    eager = _eager_height(events, p.b, ms, is_amphicheiral(r.num, r.den))
+    assert list(map(float.hex, p.height.roots)) == list(map(float.hex, eager.roots)), r
+    assert HeightPolynomial.roots.__get__(p.height) is p.height.roots  # kept after the first read
+    assert p.height == eager and repr(p.height) == repr(eager), r
+    assert pickle.loads(pickle.dumps(p.height)) == eager, r
+    return p
 
 
 def _random_one_regular(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -119,17 +144,11 @@ def _random_one_regular(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _cold(b: int) -> None:
-    """Drop the cached C(3, b) events, so the next call builds them."""
-    diagram._events.pop(b, None)
-
-
 @settings(max_examples=100, deadline=None)
 @given(b=st.integers(2, 2999), seed=st.integers(0, 2**32))
 def test_cold_gauss_sequences_and_heights_equal_the_row_loop(b, seed):
     assume(b % 3)
     form = ConwayForm(_random_one_regular(random.Random(seed), b - 1), b)
-    _cold(b)
     g = gauss_sequence(form)
     events, ms = _reference_gauss(form)
     assert (g.events, g.ms, g.b) == (events, ms, b)
@@ -137,13 +156,32 @@ def test_cold_gauss_sequences_and_heights_equal_the_row_loop(b, seed):
     value = abs(eval_cf(form.signs))
     r = value if value > 1 else Fraction(value.num, value.den % value.num or 1)
     assume(r > 1)
-    p_b = minimal_diagram(r).b
-    _cold(p_b)
-    p = parametrization(r)
-    events, ms = _reference_gauss(p.form)
-    assert (p.height.roots, p.height.gaps) == _reference_roots_and_gaps(events, ms)
-    assert p.height.leading_sign == events[0][1] and p.height.b == p.b == p_b <= b
+    p = _assert_derived_roots_are_the_eager_midpoints(r)
+    assert p.b == minimal_diagram(r).b <= b
     assert p.height.is_odd_symmetric or not is_amphicheiral(r.num, r.den)
+
+
+@pytest.mark.parametrize("seed", [7, 29])
+def test_derived_roots_equal_the_eager_midpoints_on_giants(seed):
+    for alpha, beta, *_ in bench_inputs().giants(seed):
+        _assert_derived_roots_are_the_eager_midpoints(Fraction(alpha, beta))
+
+
+def test_concurrent_first_reads_of_derived_roots_agree():
+    r = Fraction(2001, 1)
+    want = parametrization(r).height.roots
+
+    def first_reads(height: HeightPolynomial) -> list:
+        return list(pool.map(lambda _: height.roots, range(4), timeout=60))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(8):
+                assert first_reads(parametrization(r).height) == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("sign", [0, 2, -2, 1.0, -1.0, True, None], ids=repr)

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
 from bisect import bisect_left
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fractions_with_crossing_number_up_to
+from conftest import bench_inputs, fractions_with_crossing_number_up_to
 from test_heights import _random_one_regular
 from chebknot import diagram
 from chebknot.bridge import Equivalence, canonicalize, equivalent
@@ -348,22 +346,13 @@ def test_chebyshev_height_needs_an_integer_degree():
 # constructed heights decided by integer gap counts
 # ---------------------------------------------------------------------------
 
-def _bench_inputs():
-    """The benchmark's seeded input generator, which does not import chebknot."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _float_twin(height: HeightPolynomial) -> HeightPolynomial:
     """The same roots and sign with no gaps: decided by the float root rule."""
     return HeightPolynomial(height.roots, height.leading_sign)
 
 
 def test_gap_decisions_equal_the_float_rule_on_the_census():
-    for alpha, beta, _ in _bench_inputs().census_order(7):
+    for alpha, beta, _ in bench_inputs().census_order(7):
         p = parametrization(Fraction(alpha, beta))
         by_gaps = measure_crossings(3, p.b, p.height).crossings
         assert by_gaps == measure_crossings(3, p.b, _float_twin(p.height)).crossings, (alpha, beta)
@@ -371,7 +360,7 @@ def test_gap_decisions_equal_the_float_rule_on_the_census():
 
 @pytest.mark.parametrize("seed", [7, 101, 303])
 def test_gap_decisions_equal_the_float_rule_on_giants(seed):
-    for alpha, beta, *_ in _bench_inputs().giants(seed):
+    for alpha, beta, *_ in bench_inputs().giants(seed):
         p = parametrization(Fraction(alpha, beta))
         by_gaps = tuple(_twist_signs(p.height))
         assert by_gaps == measure_crossings(3, p.b, _float_twin(p.height)).conway_signs, (alpha, beta)
@@ -482,6 +471,16 @@ def test_constructions_are_certified_without_a_crossing_table(monkeypatch):
 
     monkeypatch.setattr(diagram, "crossing_table", no_table)
     for r in _census_to(10):
+        assert verify_parametrization(r, parametrization(r)) is True, r
+
+
+def test_constructions_and_certificates_compute_no_cosine(monkeypatch):
+    def no_cos(x):
+        raise AssertionError(f"math.cos({x}) called")
+
+    monkeypatch.setattr(math, "cos", no_cos)
+    giants = [Fraction(2001, 1), Fraction(10**9 + 7, 123456789), Fraction(fibonacci(41), fibonacci(40))]
+    for r in [*_census_to(10), *giants]:
         assert verify_parametrization(r, parametrization(r)) is True, r
 
 
