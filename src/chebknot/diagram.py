@@ -130,6 +130,15 @@ def _a3_families(b: int) -> tuple[tuple[int, int, slice, slice], ...]:
     )
 
 
+def _a3_crossing(b: int, slot: int) -> tuple[int, int]:
+    """(h, k) of the crossing_table(3, b) row at slot, read from its x key
+    nu = slot + 1: nu = 3h gives k = 2, nu = b - 3h or 3h - b gives k = 1."""
+    nu = slot + 1
+    if nu % 3 == 0:
+        return nu // 3, 2
+    return (b - nu if (b - nu) % 3 == 0 else b + nu) // 3, 1
+
+
 def _a3_next_event(m: int, b: int) -> int:
     """The least event above m of C(3, b), whose events are the m in 1..3b - 1
     with 3 not dividing m, other than b and 2b: crossing_table's m_t and m_s."""

@@ -14,7 +14,7 @@ from math import gcd
 
 from .bridge import TwoBridgeKnot
 from .contfrac import Fraction, Record, eval_cf, is_amphicheiral
-from .diagram import ConwayForm
+from .diagram import ConwayForm, _a3_crossing, twist_sign
 from .errors import (
     ADifferentFrom3,
     BadLambda,
@@ -59,9 +59,19 @@ def harmonic_conway(b: int, lam: int) -> ConwayForm:
     return ConwayForm(signs, b)
 
 
+def _label_slot(b: int, point: str, k: int) -> int:
+    """The crossing_table(3, b) slot of the crossing labelled A_k, B_k or C_k: 3k, 3k + 1 or 3k + 2."""
+    if point not in ("A", "B", "C"):
+        raise IndexOutOfRange(f"unknown point label {point!r}")
+    slot = 3 * k + "ABC".index(point)
+    if not (k >= 0 and slot < b - 1):
+        raise IndexOutOfRange(f"{point}_{k} is not a crossing of C(3, {b})")
+    return slot
+
+
 def crossing_sign_closed_form(b: int, lam: int, point: str, k: int) -> int:
     """Sign of the right-twist determinant D at one crossing of the
-    harmonic diagram with b = 3n + 1 or 3n + 2, by the closed sine formulas.
+    harmonic diagram with b = 3n + 1 or 3n + 2, by the closed sine formula.
 
     The crossings with the i-th, (i+1)-th, (i+2)-th largest x, i = 3k + 1,
     are labelled A_k, B_k, C_k; for b = 3n + 2 the last crossing is A_n.
@@ -70,42 +80,20 @@ def crossing_sign_closed_form(b: int, lam: int, point: str, k: int) -> int:
         raise BDivisibleBy3(f"b = {b} is divisible by 3")
     if gcd(lam, b) != 1:
         raise BadLambda(f"lambda = {lam} shares a factor with b = {b}")
-    n = (b - 1) // 3
-    count = n + 1 if point == "A" and b % 3 == 2 else n
-    if not 0 <= k < count:
-        raise IndexOutOfRange(f"k = {k} outside 0..{count - 1}")
-    if point == "A":
-        return (-1) ** k * sin_sign((3 * k + 1) * lam, b)
-    if point == "B":
-        return (-1) ** (k + 1) * sin_sign((3 * k + 2) * lam, b)
-    if point == "C":
-        return (-1) ** k * sin_sign((3 * k + 3) * lam, b)
-    raise IndexOutOfRange(f"unknown point label {point!r}")
+    slot = _label_slot(b, point, k)
+    return twist_sign(slot, sin_sign((slot + 1) * lam, b))
 
 
 def closed_form_crossing_indices(b: int, point: str, k: int) -> tuple[int, int]:
     """(k_index, h_index) of the labelled crossing of C(3, b) in the (h, k)
-    scheme.
+    scheme, as diagram._a3_crossing reads it from the crossing's slot.
 
     A_k, B_k, C_k are the crossings with the i-th, (i+1)-th, (i+2)-th
-    largest x, i = 3k + 1, for k < n = (b - 1) // 3; for b = 3n + 2 the
-    last crossing is A_n.  In diagram._a3_families' terms, with x key nu:
-    C_k = (2, k + 1) is the family nu = 3h; for b = 3n + 1,
-    A_k = (1, n - k) is the family nu = b - 3h and B_k = (1, n + 1 + k)
-    the family nu = 3h - b; for b = 3n + 2 the two swap, A_k = (1, n + 1 + k)
-    and B_k = (1, n - k).
+    largest x, i = 3k + 1; for b = 3n + 2 the last crossing is A_n.
     """
     if b % 3 == 0:
         raise BDivisibleBy3(f"b = {b} is divisible by 3")
-    if point not in ("A", "B", "C"):
-        raise IndexOutOfRange(f"unknown point label {point!r}")
-    n = (b - 1) // 3
-    count = n + 1 if point == "A" and b % 3 == 2 else n
-    if not 0 <= k < count:
-        raise IndexOutOfRange(f"k = {k} outside 0..{count - 1}")
-    if point == "C":
-        return (2, k + 1)
-    return (1, n - k) if (point == "A") == (b % 3 == 1) else (1, n + 1 + k)
+    return _a3_crossing(b, _label_slot(b, point, k))[::-1]
 
 
 def mirror_equivalent_c(a: int, b: int, c: int) -> int | None:

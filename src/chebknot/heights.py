@@ -18,7 +18,8 @@ from operator import add, itemgetter, ne, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, is_amphicheiral
-from .diagram import PARAMETER_ERROR, ConwayForm, _a3_families, _a3_next_event, _minimal_diagram, _parameters
+from .diagram import PARAMETER_ERROR, ConwayForm, _minimal_diagram, _parameters
+from .diagram import _a3_crossing, _a3_families, _a3_next_event
 from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
 
 # Smallest |z(t) - z(s)| the float rule accepts.
@@ -118,10 +119,8 @@ def _twist_signs(height: HeightPolynomial) -> list[int]:
         twists[first::3] = sign[at_t] if c == 1 else map(neg, sign[at_t])
         from_s[first::3] = map(neg, sign[at_s]) if c == 1 else sign[at_s]
     if twists != from_s:
-        nu = next(compress(count(1), map(ne, twists, from_s)))  # the x key, slot + 1
-        k = 2 if nu % 3 == 0 else 1  # nu = 3h on C_k; b - 3h or 3h - b on A_k, B_k
-        h = next(x for x in (nu, b - nu, b + nu) if x % 3 == 0) // 3
-        raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")
+        slot = next(compress(count(), map(ne, twists, from_s)))
+        raise AmbiguousCrossing(f"both strands of z have one sign at crossing {_a3_crossing(b, slot)}")
     return twists
 
 
@@ -146,8 +145,8 @@ class HeightPolynomial(Record):
     opens the gap between consecutive event parameters in which the root
     sits.  A gap g puts its root below the parameter cos(m*pi/3b) of every
     event m <= g and above every other one: z's sign flips after each gap
-    (_twist_signs).  roots is their float rendering, which parametrization
-    leaves for __getattr__ to derive on first read and keep.
+    (_twist_signs).  roots must be their float rendering, which __getattr__
+    derives on first read and keeps where _of_gaps leaves it unset.
     """
 
     __slots__ = ("roots", "leading_sign", "b", "gaps")
@@ -159,21 +158,22 @@ class HeightPolynomial(Record):
             raise ChebknotError("roots must be finite")
         if type(leading_sign) is not int or leading_sign not in (1, -1):
             raise ChebknotError("leading sign must be +1 or -1")
-        object.__setattr__(self, "leading_sign", leading_sign)
         if gaps is not None:
             gaps = tuple(sorted(gaps))
-            if type(b) is not int or b < 2 or b % 3 == 0 or len(gaps) != len(self.roots):
-                raise ChebknotError("need a degree b >= 2 prime to 3 and one gap per root")
-            if gaps and not 0 < gaps[0] <= gaps[-1] < 3 * b:
-                raise ChebknotError(f"gaps must be event ms, in 1..{3 * b - 1}")
+            if self.roots != self._of_gaps(leading_sign, b, gaps).roots:
+                raise ChebknotError("roots must be the midpoints of their gaps")
         elif b is not None:
             raise ChebknotError("a degree b needs gaps")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "gaps", gaps)
+        for name, value in (("leading_sign", leading_sign), ("b", b), ("gaps", gaps)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _of_gaps(cls, leading_sign: int, b: int, gaps: tuple[int, ...]) -> HeightPolynomial:
         """The height on C(3, b) with these increasing gaps, each an event below the last."""
+        if type(b) is not int or b < 2 or b % 3 == 0:
+            raise ChebknotError("need a degree b >= 2 prime to 3")
+        if gaps and not 0 < gaps[0] <= gaps[-1] < 3 * b:
+            raise ChebknotError(f"gaps must be event ms, in 1..{3 * b - 1}")
         height = object.__new__(cls)
         for name, value in (("leading_sign", leading_sign), ("b", b), ("gaps", gaps)):
             object.__setattr__(height, name, value)
@@ -260,23 +260,24 @@ def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomi
 
     Roots sit at gap midpoints, so the sign at every crossing parameter
     matches the Gauss sign; the leading sign is anchored at the event with
-    the largest parameter.  On a C(3, b) sequence each root also records
-    the m of the event that opens its gap.  For amphicheiral inputs the
-    events are symmetric (m_i + m_{-1-i} = 3b) and the Gauss signs odd,
-    which makes the root set symmetric about 0 and the polynomial odd.
+    the largest parameter.  On a C(3, b) sequence only the gaps are built,
+    as in parametrization.  For amphicheiral inputs the events are
+    symmetric (m_i + m_{-1-i} = 3b) and the Gauss signs odd, which makes
+    the root set symmetric about 0 and the polynomial odd.
     """
     if not g.events:
         raise EmptySequence("empty Gauss sequence")
     params, signs, ms = g.parameters, g.signs, g.ms
     changes = list(map(ne, signs, signs[1:]))
-    roots = _midpoints(compress(params, changes), compress(params[1:], changes))
     if amphicheiral:
         # m_i + m_{-1-i} = 3b (t_i + t_{-1-i} = 0 without ms), s_{-1-i} = -s_i
         keys, total = (params, 0.0) if ms is None else (ms, 3 * g.b)
-        if not (len(roots) % 2 == 1 and set(map(add, keys, keys[::-1])) == {total}
+        if not (sum(changes) % 2 == 1 and set(map(add, keys, keys[::-1])) == {total}
                 and signs[::-1] == tuple(map(neg, signs))):
             raise ChebknotError("amphicheiral input did not give an odd height")
-    return HeightPolynomial(roots, signs[0], g.b, None if ms is None else compress(ms, changes))
+    if ms is not None:
+        return HeightPolynomial._of_gaps(signs[0], g.b, tuple(sorted(compress(ms, changes))))
+    return HeightPolynomial(_midpoints(compress(params, changes), compress(params[1:], changes)), signs[0])
 
 
 class Parametrization(Record):
@@ -312,8 +313,8 @@ def parametrization(r: Fraction) -> Parametrization:
     md, n_cross = _minimal_diagram(r)
     by_m, signs = _gauss_signs(md.form)
     gaps = tuple(compress(compress(range(3 * md.b), by_m), map(ne, signs, islice(signs, 1, None))))
-    # an odd height needs odd events and signs, by_m[3b - m] = -by_m[m], and an odd degree
-    if is_amphicheiral(r.num, r.den) and not (len(gaps) % 2 == 1 and by_m[:0:-1] == list(map(neg, by_m[1:]))):
+    # an odd height needs an odd degree and odd signs on the symmetric events
+    if is_amphicheiral(r.num, r.den) and not (len(gaps) % 2 == 1 and signs[::-1] == list(map(neg, signs))):
         raise ChebknotError("amphicheiral input did not give an odd height")
     height = HeightPolynomial._of_gaps(signs[0], md.b, gaps)
     if md.b + height.degree != 3 * n_cross:

@@ -160,6 +160,17 @@ def test_closed_form_crossing_indices_refuse_what_is_not_a_crossing(b, point, k)
         closed_form_crossing_indices(b, point, k)
 
 
+@pytest.mark.parametrize("point", ["a", "", None])
+def test_closed_forms_refuse_labels_other_than_a_b_c(point):
+    with pytest.raises(IndexOutOfRange):
+        closed_form_crossing_indices(7, point, 0)
+    with pytest.raises(IndexOutOfRange):
+        crossing_sign_closed_form(7, 1, point, 0)
+    # lambda is checked before the label
+    with pytest.raises(BadLambda):
+        crossing_sign_closed_form(8, 2, point, 0)
+
+
 def test_mirror_equivalent_c_examples():
     assert mirror_equivalent_c(3, 5, 13) == 7
     assert mirror_equivalent_c(3, 4, 5) is None

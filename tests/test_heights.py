@@ -207,6 +207,22 @@ def test_an_amphicheiral_input_that_is_not_odd_is_refused(events, b, ms):
         build_height(GaussSequence(events, b, ms), amphicheiral=True)
 
 
+@pytest.mark.parametrize(
+    "b, ms",
+    [(9, (1, 5)), (True, (1, 5)), (2, (0, 5)), (2, (6, 1))],
+    ids=["b-divisible-by-3", "bool-b", "m-at-0", "m-at-3b"],
+)
+def test_build_height_refuses_hand_built_sequences_off_the_diagram(b, ms):
+    with pytest.raises(ChebknotError):
+        build_height(GaussSequence(((0.5, 1), (-0.5, -1)), b, ms))
+
+
+def test_build_height_sorts_the_gaps_of_unsorted_ms():
+    events = ((0.9, 1), (0.5, -1), (0.1, -1), (-0.3, 1))
+    height = build_height(GaussSequence(events, 7, (13, 1, 10, 4)))
+    assert height.gaps == (10, 13) and height.roots == tuple(sorted(height.roots))
+
+
 def test_count_sign_changes_basics():
     g = GaussSequence(((0.5, 1), (0.2, 1), (-0.1, 1)))
     assert count_sign_changes(g) == 0

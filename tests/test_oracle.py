@@ -515,6 +515,16 @@ def test_height_polynomial_checks_its_gaps(b, gaps):
         HeightPolynomial((0.5,), 1, b, gaps)
 
 
+def test_a_height_refuses_roots_its_gaps_do_not_give():
+    r = Fraction(9, 2)
+    p = parametrization(r)  # b = 8, ten gaps
+    with pytest.raises(ChebknotError, match="midpoints of their gaps"):
+        HeightPolynomial((0.0,) * 10, p.height.leading_sign, 8, p.height.gaps)
+    # the derived roots themselves, in any order, are accepted and certified
+    height = HeightPolynomial(p.height.roots[::-1], p.height.leading_sign, 8, p.height.gaps[::-1])
+    assert height == p.height and verify_parametrization(r, _with_height(p, height)) is True
+
+
 def test_gauss_sequence_needs_b_and_one_m_per_event_or_neither():
     events = ((0.5, 1), (-0.5, -1))
     for b, ms in ((2, None), (None, (1, 5)), (2, (1,))):
