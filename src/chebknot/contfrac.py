@@ -140,12 +140,16 @@ class Fraction(Record):
         return f"{self.num}/{self.den}"
 
 
-def _validate_one_regular(terms: Sequence[int]) -> None:
+def _all_plus_or_minus_one(terms: tuple[int, ...]) -> bool:
+    # count compares with ==, so True and 1.0 would pass it without the type test
+    return set(map(type, terms)) <= {int} and terms.count(1) + terms.count(-1) == len(terms)
+
+
+def _validate_one_regular(terms: tuple[int, ...]) -> None:
     n = len(terms)
     if n == 0:
         raise EmptySequence("empty sign sequence")
-    # count compares with ==, so True and 1.0 would pass it without the type test
-    if set(map(type, terms)) != {int} or terms.count(1) + terms.count(-1) != n:
+    if not _all_plus_or_minus_one(terms):
         raise NotOneRegular("terms must all be +1 or -1")
     if n >= 2 and terms[-1] * terms[-2] < 0:
         raise NotOneRegular("last two terms must have equal sign")

@@ -15,10 +15,10 @@ even i.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
 from operator import neg
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, cn_from_regular, crossing_number, eval_cf, regular_expansion
 from .contfrac import _pgp_inner, _validate_one_regular
@@ -139,9 +139,17 @@ def _a3_crossing(b: int, slot: int) -> tuple[int, int]:
     return (b - nu if (b - nu) % 3 == 0 else b + nu) // 3, 1
 
 
+def _a3_events(b: int) -> Iterator[int]:
+    """The events of C(3, b) by increasing m, so by decreasing parameter: the
+    m in 1..3b - 1 with 3 not dividing m, other than b and 2b, which are
+    crossing_table's m_t and m_s."""
+    is_event = bytearray(b"\0\1\1") * b
+    is_event[b] = is_event[2 * b] = 0
+    return compress(range(3 * b), is_event)
+
+
 def _a3_next_event(m: int, b: int) -> int:
-    """The least event above m of C(3, b), whose events are the m in 1..3b - 1
-    with 3 not dividing m, other than b and 2b: crossing_table's m_t and m_s."""
+    """The least of the _a3_events of C(3, b) above m."""
     m += 1
     while m % 3 == 0 or m % b == 0:
         m += 1

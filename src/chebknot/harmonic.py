@@ -63,6 +63,8 @@ def _label_slot(b: int, point: str, k: int) -> int:
     """The crossing_table(3, b) slot of the crossing labelled A_k, B_k or C_k: 3k, 3k + 1 or 3k + 2."""
     if point not in ("A", "B", "C"):
         raise IndexOutOfRange(f"unknown point label {point!r}")
+    if type(k) is not int:  # 0.5 or True would name a slot
+        raise IndexOutOfRange(f"crossing index {k!r} is not an int")
     slot = 3 * k + "ABC".index(point)
     if not (k >= 0 and slot < b - 1):
         raise IndexOutOfRange(f"{point}_{k} is not a crossing of C(3, {b})")

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import compress, count, islice, repeat
-from operator import add, itemgetter, ne, neg
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import ne, neg
+from typing import Callable, NamedTuple, Sequence
 
-from .contfrac import Fraction, Record, is_amphicheiral
+from .contfrac import Fraction, Record, _all_plus_or_minus_one, is_amphicheiral
 from .diagram import PARAMETER_ERROR, ConwayForm, _minimal_diagram, _parameters
-from .diagram import _a3_crossing, _a3_families, _a3_next_event
-from .errors import AmbiguousCrossing, ChebknotError, EmptySequence, IsLink
+from .diagram import _a3_crossing, _a3_events, _a3_families, _a3_next_event
+from .errors import AmbiguousCrossing, ChebknotError, IsLink
 
 # Smallest |z(t) - z(s)| the float rule accepts.
 SEPARATION_FLOOR = 1e-9
@@ -47,43 +47,41 @@ class FloatHeight(NamedTuple):
 
 
 class GaussSequence(Record):
-    """Over/under signs (+1 over, -1 under) at the crossing parameters,
-    listed from the largest parameter to the smallest.
+    """Over/under signs (+1 over, -1 under) of the diagram C(3, b) at its
+    2(b - 1) events, diagram._a3_events(b), listed from the largest
+    parameter to the smallest: events holds (cos(m*pi/3b), sign) by m."""
 
-    A sequence built on the diagram C(3, b) also keeps b and, in ms, the
-    integer m of each event, whose parameter is cos(m*pi/3b).
-    """
+    __slots__ = ("signs", "b")
 
-    __slots__ = ("events", "b", "ms")
-
-    def __init__(self, events: tuple[tuple[float, int], ...], b: int | None = None,
-                 ms: tuple[int, ...] | None = None) -> None:
-        object.__setattr__(self, "events", events)
+    def __init__(self, signs: Sequence[int], b: int) -> None:
+        object.__setattr__(self, "signs", tuple(signs))
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "ms", ms)
-        if (b is None) != (ms is None) or (ms is not None and len(ms) != len(events)):
-            raise ChebknotError("need b and one m per event, or neither")
-        # count compares with ==, so True and 1.0 would pass it without the type test
-        signs = self.signs
-        if signs and (set(map(type, signs)) != {int} or signs.count(1) + signs.count(-1) != len(signs)):
+        if type(b) is not int or b < 2 or b % 3 == 0:
+            raise ChebknotError("need a degree b >= 2 prime to 3")
+        if len(self.signs) != 2 * (b - 1):
+            raise ChebknotError(f"need 2(b - 1) = {2 * (b - 1)} signs for C(3, {b})")
+        if not _all_plus_or_minus_one(self.signs):
             raise ChebknotError("event signs must all be +1 or -1")
 
     @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(map(itemgetter(1), self.events))
+    def ms(self) -> tuple[int, ...]:
+        return tuple(_a3_events(self.b))
 
     @property
     def parameters(self) -> tuple[float, ...]:
-        return tuple(map(itemgetter(0), self.events))
+        return tuple(_parameters(_a3_events(self.b), 3 * self.b))
+
+    @property
+    def events(self) -> tuple[tuple[float, int], ...]:
+        return tuple(zip(self.parameters, self.signs))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.signs)
 
 
-def _gauss_signs(form: ConwayForm) -> tuple[list[int], list[int]]:
-    """The Gauss sign of C(3, b) under a Conway form at every m in
-    range(3b), 0 where m is not an event, and the signs alone, by
-    increasing m: decreasing parameter.
+def _gauss_signs(form: ConwayForm) -> tuple[int, ...]:
+    """The Gauss signs of C(3, b) under a Conway form, by increasing m:
+    decreasing parameter.
 
     The twist sign at decreasing-x slot i asks for the sign
     (-1)^i * twist * xy_sign of z(t) - z(s) at that crossing, by the
@@ -92,15 +90,15 @@ def _gauss_signs(form: ConwayForm) -> tuple[list[int], list[int]]:
     at m_t, so each family's signs are one slice of the form's.
     """
     b, twists = form.b, form.signs
-    by_m = [0] * (3 * b)
+    by_m = [0] * (3 * b)  # 0 where m is not an event
     for first, c, at_t, at_s in _a3_families(b):
         run = twists[first::3]
         flipped = tuple(map(neg, run))
         by_m[at_t], by_m[at_s] = (run, flipped) if c == 1 else (flipped, run)
-    signs = list(filter(None, by_m))
+    signs = tuple(filter(None, by_m))
     if len(signs) != 2 * (b - 1):
         raise ChebknotError("crossing parameters are not distinct")
-    return by_m, signs
+    return signs
 
 
 def _twist_signs(height: HeightPolynomial) -> list[int]:
@@ -127,14 +125,11 @@ def _twist_signs(height: HeightPolynomial) -> list[int]:
 def gauss_sequence(form: ConwayForm) -> GaussSequence:
     """Gauss sequence forced on the diagram C(3, b) by a Conway form, read
     from the three crossing families by slices."""
-    by_m, signs = _gauss_signs(form)
-    ms = tuple(compress(range(3 * form.b), by_m))
-    return GaussSequence(tuple(zip(_parameters(ms, 3 * form.b), signs)), form.b, ms)
+    return GaussSequence(_gauss_signs(form), form.b)
 
 
 def count_sign_changes(g: GaussSequence) -> int:
-    s = g.signs
-    return sum(map(ne, s, s[1:]))
+    return sum(map(ne, g.signs, g.signs[1:]))
 
 
 class HeightPolynomial(Record):
@@ -185,7 +180,8 @@ class HeightPolynomial(Record):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         b, gaps = self.b, self.gaps[::-1]  # decreasing gaps give increasing roots
         nexts = map(_a3_next_event, gaps, repeat(b))
-        roots = tuple(_midpoints(_parameters(gaps, 3 * b), _parameters(nexts, 3 * b)))
+        # the root in each gap is the midpoint of its two parameters
+        roots = tuple((p + q) / 2.0 for p, q in zip(_parameters(gaps, 3 * b), _parameters(nexts, 3 * b)))
         object.__setattr__(self, "roots", roots)
         return roots
 
@@ -250,34 +246,21 @@ class HeightPolynomial(Record):
         return body if self.leading_sign > 0 else "-" + body
 
 
-def _midpoints(lo: Iterable[float], hi: Iterable[float]) -> list[float]:
-    """The midpoint of each pair of parameters: the root in the gap between them."""
-    return [(p + q) / 2.0 for p, q in zip(lo, hi)]
+def _height(b: int, signs: tuple[int, ...], amphicheiral: bool) -> HeightPolynomial:
+    """The height on C(3, b) with the Gauss signs at every event: its gaps
+    are the events whose sign differs from the next event's, and its
+    leading sign is the first event's.  Odd amphicheiral signs,
+    s_{-1-i} = -s_i on the symmetric events m_i + m_{-1-i} = 3b, and an
+    odd degree make the roots symmetric about 0 and the height odd."""
+    gaps = tuple(compress(_a3_events(b), map(ne, signs, islice(signs, 1, None))))
+    if amphicheiral and not (len(gaps) % 2 == 1 and signs[::-1] == tuple(map(neg, signs))):
+        raise ChebknotError("amphicheiral input did not give an odd height")
+    return HeightPolynomial._of_gaps(signs[0], b, gaps)
 
 
 def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomial:
-    """Height polynomial with one root per Gauss sign change.
-
-    Roots sit at gap midpoints, so the sign at every crossing parameter
-    matches the Gauss sign; the leading sign is anchored at the event with
-    the largest parameter.  On a C(3, b) sequence only the gaps are built,
-    as in parametrization.  For amphicheiral inputs the events are
-    symmetric (m_i + m_{-1-i} = 3b) and the Gauss signs odd, which makes
-    the root set symmetric about 0 and the polynomial odd.
-    """
-    if not g.events:
-        raise EmptySequence("empty Gauss sequence")
-    params, signs, ms = g.parameters, g.signs, g.ms
-    changes = list(map(ne, signs, signs[1:]))
-    if amphicheiral:
-        # m_i + m_{-1-i} = 3b (t_i + t_{-1-i} = 0 without ms), s_{-1-i} = -s_i
-        keys, total = (params, 0.0) if ms is None else (ms, 3 * g.b)
-        if not (sum(changes) % 2 == 1 and set(map(add, keys, keys[::-1])) == {total}
-                and signs[::-1] == tuple(map(neg, signs))):
-            raise ChebknotError("amphicheiral input did not give an odd height")
-    if ms is not None:
-        return HeightPolynomial._of_gaps(signs[0], g.b, tuple(sorted(compress(ms, changes))))
-    return HeightPolynomial(_midpoints(compress(params, changes), compress(params[1:], changes)), signs[0])
+    """Height polynomial with one root per Gauss sign change, as in parametrization."""
+    return _height(g.b, g.signs, amphicheiral)
 
 
 class Parametrization(Record):
@@ -304,19 +287,12 @@ class Parametrization(Record):
 
 
 def parametrization(r: Fraction) -> Parametrization:
-    """Minimal diagram, Gauss signs and height polynomial for S(r), in
-    integers: the height's gaps are the events whose Gauss sign differs
-    from the next event's.  The degrees always satisfy b + deg C = 3N.
-    """
+    """Minimal diagram, Gauss signs and height polynomial (_height) for
+    S(r), in integers.  The degrees always satisfy b + deg C = 3N."""
     if r.is_positive and not r.is_knot:
         raise IsLink(f"{r} defines a two-component link")
     md, n_cross = _minimal_diagram(r)
-    by_m, signs = _gauss_signs(md.form)
-    gaps = tuple(compress(compress(range(3 * md.b), by_m), map(ne, signs, islice(signs, 1, None))))
-    # an odd height needs an odd degree and odd signs on the symmetric events
-    if is_amphicheiral(r.num, r.den) and not (len(gaps) % 2 == 1 and signs[::-1] == list(map(neg, signs))):
-        raise ChebknotError("amphicheiral input did not give an odd height")
-    height = HeightPolynomial._of_gaps(signs[0], md.b, gaps)
+    height = _height(md.b, _gauss_signs(md.form), is_amphicheiral(r.num, r.den))
     if md.b + height.degree != 3 * n_cross:
         raise ChebknotError(f"degree identity violated for {r}")
     return Parametrization(md.b, height, n_cross, md.form, md.mirrored)

@@ -213,7 +213,7 @@ def _events_of(b: int) -> tuple[tuple, tuple]:
     return g.ms, g.parameters
 
 
-def test_cached_tables_equal_the_reference_cold_and_warm():
+def test_tables_equal_the_reference_first_and_again():
     pairs = [(a, b) for a in (3, 4, 5, 7) for b in range(2, 200) if gcd(a, b) == 1]
     random.Random(8).shuffle(pairs)
     for i, (a, b) in enumerate(pairs):
@@ -230,13 +230,13 @@ def test_cached_tables_equal_the_reference_cold_and_warm():
 
 def test_a3_events_are_the_closed_form_set():
     # the m in 1..3b-1 with 3 not dividing m, other than b and 2b, which
-    # diagram._a3_next_event steps through from 0
+    # diagram._a3_events lists and diagram._a3_next_event steps through from 0
     for b in range(2, 3000):
         if b % 3 == 0:
             continue
         _, _, m_t, m_s, _ = zip(*crossing_table(3, b))
         closed = [m for m in range(1, 3 * b) if m % 3 and m not in (b, 2 * b)]
-        assert sorted(m_t + m_s) == closed, b
+        assert sorted(m_t + m_s) == list(diagram._a3_events(b)) == closed, b
         assert list(map(diagram._a3_next_event, [0, *closed[:-1]], repeat(b))) == closed, b
 
 
@@ -264,7 +264,7 @@ def test_crossing_table_returns_a_new_list_every_call():
     assert again is not crossing_table(3, 5)
 
 
-def test_cached_table_does_not_answer_invalid_degrees():
+def test_tables_refuse_invalid_degrees():
     gauss_sequence(ConwayForm((1,) * 4, 5))
     with pytest.raises(TypeError):  # ConwayForm accepts 5.0, as 5.0 == 5
         gauss_sequence(ConwayForm((1,) * 4, 5.0))

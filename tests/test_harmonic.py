@@ -153,11 +153,14 @@ def test_closed_form_crossing_indices_are_the_crossing_table_order():
 
 @pytest.mark.parametrize(
     "b, point, k",
-    [(9, "A", 0), (7, "A", 2), (7, "B", -1), (8, "A", 3), (8, "B", 2), (8, "C", 2), (7, "X", 0), (3, "C", 0)],
+    [(9, "A", 0), (7, "A", 2), (7, "B", -1), (8, "A", 3), (8, "B", 2), (8, "C", 2), (7, "X", 0), (3, "C", 0),
+     (7, "A", 0.5), (7, "A", 1.0), (7, "A", True)],
 )
 def test_closed_form_crossing_indices_refuse_what_is_not_a_crossing(b, point, k):
     with pytest.raises(BDivisibleBy3 if b % 3 == 0 else IndexOutOfRange):
         closed_form_crossing_indices(b, point, k)
+    with pytest.raises(BDivisibleBy3 if b % 3 == 0 else IndexOutOfRange):
+        crossing_sign_closed_form(b, 1, point, k)
 
 
 @pytest.mark.parametrize("point", ["a", "", None])

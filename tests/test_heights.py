@@ -19,7 +19,7 @@ from conftest import bench_inputs, fractions_with_crossing_number_up_to
 from chebknot.bridge import fibonacci_fraction
 from chebknot.contfrac import Fraction, eval_cf, is_amphicheiral
 from chebknot.diagram import ConwayForm, enumerate_crossings, minimal_diagram, twist_sign
-from chebknot.errors import ChebknotError, EmptySequence, IsLink, NotGreaterThanOne
+from chebknot.errors import ChebknotError, IsLink, NotGreaterThanOne
 from chebknot.heights import (
     GaussSequence,
     HeightPolynomial,
@@ -187,46 +187,47 @@ def test_concurrent_first_reads_of_derived_roots_agree():
 @pytest.mark.parametrize("sign", [0, 2, -2, 1.0, -1.0, True, None], ids=repr)
 def test_gauss_sequence_refuses_signs_that_are_not_plus_or_minus_one(sign):
     with pytest.raises(ChebknotError, match="event signs must all be"):
-        GaussSequence(((0.5, 1), (0.2, sign), (-0.1, -1)))
+        GaussSequence((1, -1, sign, 1, -1, 1), 4)
     with pytest.raises(ChebknotError, match="event signs must all be"):
-        GaussSequence(((0.5, sign), (-0.5, -1)), 2, (1, 5))
+        GaussSequence((sign, -1), 2)
 
 
+# signs on the events of C(3, 4), ms (1, 2, 5, 7, 10, 11), or of C(3, 2), ms (1, 5)
 @pytest.mark.parametrize(
-    "events, b, ms",
+    "signs, b",
     [
-        (((0.5, 1), (0.2, -1), (-0.2, -1), (-0.5, -1)), None, None),  # signs not odd
-        (((0.5, 1), (0.1, -1), (-0.5, -1)), None, None),  # parameters not symmetric
-        (((0.5, 1), (0.2, -1), (-0.2, 1), (-0.5, 1)), None, None),  # two roots
-        (((0.5, 1), (-0.5, 1)), 2, (1, 5)),  # no root
-        (((0.5, 1), (-0.5, -1)), 2, (1, 4)),  # ms not symmetric: 1 + 4 != 6
+        ((1, -1, -1, -1, 1, -1), 4),  # three roots, signs not odd
+        ((1, 1, -1, -1, 1, 1), 4),  # two roots
+        ((1, 1), 2),  # no root
     ],
+    ids=["signs-not-odd", "two-roots", "no-root"],
 )
-def test_an_amphicheiral_input_that_is_not_odd_is_refused(events, b, ms):
+def test_an_amphicheiral_input_that_is_not_odd_is_refused(signs, b):
     with pytest.raises(ChebknotError, match="amphicheiral input did not give an odd height"):
-        build_height(GaussSequence(events, b, ms), amphicheiral=True)
+        build_height(GaussSequence(signs, b), amphicheiral=True)
 
 
 @pytest.mark.parametrize(
-    "b, ms",
-    [(9, (1, 5)), (True, (1, 5)), (2, (0, 5)), (2, (6, 1))],
-    ids=["b-divisible-by-3", "bool-b", "m-at-0", "m-at-3b"],
+    "signs, b, message",
+    [
+        ((1, -1), 9, "prime to 3"),
+        ((1, -1), True, "prime to 3"),
+        ((1, -1), 2.0, "prime to 3"),
+        ((1, -1), 1, "prime to 3"),
+        ((1, -1, 1, -1), 2, "need 2\\(b - 1\\) = 2 signs"),
+        ((), 2, "need 2\\(b - 1\\) = 2 signs"),
+    ],
+    ids=["b-divisible-by-3", "bool-b", "float-b", "b-below-2", "too-many-signs", "empty"],
 )
-def test_build_height_refuses_hand_built_sequences_off_the_diagram(b, ms):
-    with pytest.raises(ChebknotError):
-        build_height(GaussSequence(((0.5, 1), (-0.5, -1)), b, ms))
-
-
-def test_build_height_sorts_the_gaps_of_unsorted_ms():
-    events = ((0.9, 1), (0.5, -1), (0.1, -1), (-0.3, 1))
-    height = build_height(GaussSequence(events, 7, (13, 1, 10, 4)))
-    assert height.gaps == (10, 13) and height.roots == tuple(sorted(height.roots))
+def test_build_height_refuses_hand_built_sequences_off_the_diagram(signs, b, message):
+    with pytest.raises(ChebknotError, match=message):
+        build_height(GaussSequence(signs, b))
 
 
 def test_count_sign_changes_basics():
-    g = GaussSequence(((0.5, 1), (0.2, 1), (-0.1, 1)))
+    g = GaussSequence((1, 1), 2)
     assert count_sign_changes(g) == 0
-    alt = GaussSequence(tuple((1.0 - 0.1 * i, (-1) ** i) for i in range(8)))
+    alt = GaussSequence(tuple((-1) ** i for i in range(8)), 5)
     assert count_sign_changes(alt) == 7
 
 
@@ -270,15 +271,21 @@ def test_build_height_sign_certificate_sweep():
 
 
 def test_build_height_constant_case():
-    g = GaussSequence(((0.6, -1), (0.1, -1)))
+    g = GaussSequence((-1, -1), 2)
     poly = build_height(g)
     assert poly.degree == 0 and poly.leading_sign == -1
     assert poly(0.3) == -1.0
 
 
-def test_build_height_empty_rejected():
-    with pytest.raises(EmptySequence):
-        build_height(GaussSequence(()))
+def test_build_height_on_census_sequences_is_the_constructed_height():
+    for alpha, beta, _ in fractions_with_crossing_number_up_to(12):
+        if alpha % 2 == 0:
+            continue
+        r = Fraction(alpha, beta)
+        g = gauss_sequence(minimal_diagram(r).form)
+        height = build_height(g, is_amphicheiral(alpha, beta))
+        assert height == parametrization(r).height, r
+        assert height.degree == count_sign_changes(g), r
 
 
 def test_figure_eight_odd_height():

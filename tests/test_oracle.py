@@ -25,7 +25,6 @@ from chebknot.harmonic import (
     HarmonicSpec,
 )
 from chebknot.heights import (
-    GaussSequence,
     HeightPolynomial,
     Parametrization,
     _twist_signs,
@@ -524,9 +523,3 @@ def test_a_height_refuses_roots_its_gaps_do_not_give():
     height = HeightPolynomial(p.height.roots[::-1], p.height.leading_sign, 8, p.height.gaps[::-1])
     assert height == p.height and verify_parametrization(r, _with_height(p, height)) is True
 
-
-def test_gauss_sequence_needs_b_and_one_m_per_event_or_neither():
-    events = ((0.5, 1), (-0.5, -1))
-    for b, ms in ((2, None), (None, (1, 5)), (2, (1,))):
-        with pytest.raises(ChebknotError):
-            GaussSequence(events, b, ms)

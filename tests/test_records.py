@@ -47,9 +47,9 @@ CASES = [
     ),
     (
         GaussSequence,
-        ("events", "b", "ms"),
-        (((0.5, 1), (-0.5, -1)), 2, (1, 5)),
-        "GaussSequence(events=((0.5, 1), (-0.5, -1)), b=2, ms=(1, 5))",
+        ("signs", "b"),
+        ((1, -1), 2),
+        "GaussSequence(signs=(1, -1), b=2)",
     ),
     (
         HeightPolynomial,
