@@ -123,11 +123,12 @@ def _cmd_diagram(args: argparse.Namespace) -> tuple[str, dict]:
 def _cmd_param(args: argparse.Namespace) -> tuple[str, dict]:
     frac = _knot_fraction(args.fraction)
     p = parametrization(frac)
-    text = (
+    if args.format == "json":  # the factored text holds one factor per root: build it only to print it
+        return "", p.to_json()
+    return (
         f"a=3  b={p.b}  deg(z)={p.height.degree}  N={p.crossing_number}\n"
         f"z = {p.height.factored_text()}"
-    )
-    return text, p.to_json()
+    ), {}
 
 
 def _cmd_harmonic(args: argparse.Namespace) -> tuple[str, dict]:

@@ -15,7 +15,7 @@ even i.
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd
 from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -54,8 +54,8 @@ class CrossingPoint(NamedTuple):
     """One double point of the curve x = T_a(t), y = T_b(t).
 
     t = cos(m_t*pi/(a*b)) and s = cos(m_s*pi/(a*b)) are its two parameters,
-    computed by enumerate_crossings (crossing_table holds the integers
-    alone), and xy_sign the exact sign of x'(t) y'(t).
+    computed by enumerate_crossings from m_t and m_s, and xy_sign the exact
+    sign of x'(t) y'(t).
     """
 
     h: int
@@ -67,14 +67,72 @@ class CrossingPoint(NamedTuple):
     xy_sign: int
 
 
-def crossing_table(a: int, b: int) -> list[tuple[int, int, int, int, int]]:
-    """All (a-1)(b-1)/2 crossings of the curve by decreasing x, as tuples of
-    the integers (h, k, m_t, m_s, xy_sign); enumerate_crossings adds t and s.
+def _a3_families(b: int) -> tuple[tuple[int, int, slice, slice], ...]:
+    """The crossings of C(3, b) as three families: the paper's C_k, then
+    A_k and B_k for b = 3n + 1, B_k and A_k for b = 3n + 2
+    (harmonic.closed_form_crossing_indices).
 
-    Rows are sorted stably by the integer key nu, x = cos(nu*pi/b), so tied
-    keys (a >= 4) keep their (k, h) generation order.  No construction or
-    certificate reads the table.
+    Each family is (first, c, at_t, at_s): it holds the enumerate_crossings(3, b)
+    slots first, first + 3, ... (x key nu = slot + 1), whose m_t and m_s are
+    range(3b)[at_t] and range(3b)[at_s] in slot order, and along which
+    c = xy_sign * (-1)^slot is constant:
+
+        nu = 3h,      k = 2:  m_t = 2b + nu, m_s = 2b - nu;
+        nu = b - 3h,  k = 1:  m_t = 2b - nu, m_s = nu;
+        nu = 3h - b,  k = 1:  m_t = 2b + nu, m_s = nu.
+
+    With xy_sign = (-1)^(h+k) sin_sign(k*b, 3) sin_sign(3h, b), the last
+    factor is -1 in the third family alone, so c = -sin_sign(2b, 3) in the
+    first and +-sin_sign(b, 3) (-1)^b in the other two.
     """
+    first = (b - 1) % 3  # the slots nu - 1 = b - 1 - 3h
+    c = sin_sign(b, 3) if b % 2 == 0 else -sin_sign(b, 3)
+    return (
+        (2, -sin_sign(2 * b, 3), slice(2 * b + 3, None, 3), slice(2 * b - 3, b, -3)),
+        (first, c, slice(2 * b - first - 1, b, -3), slice(first + 1, b, 3)),
+        (1 - first, -c, slice(2 * b + 2 - first, None, 3), slice(2 - first, b, 3)),
+    )
+
+
+def _a3_crossing(b: int, slot: int) -> tuple[int, int]:
+    """(h, k) of the enumerate_crossings(3, b) row at slot, read from its x key
+    nu = slot + 1: nu = 3h gives k = 2, nu = b - 3h or 3h - b gives k = 1."""
+    nu = slot + 1
+    if nu % 3 == 0:
+        return nu // 3, 2
+    return (b - nu if (b - nu) % 3 == 0 else b + nu) // 3, 1
+
+
+def _a3_events(b: int) -> Iterator[int]:
+    """The events of C(3, b) by increasing m, so by decreasing parameter: the
+    m in 1..3b - 1 with 3 not dividing m, other than b and 2b, which are
+    the crossings' m_t and m_s."""
+    is_event = bytearray(b"\0\1\1") * b
+    is_event[b] = is_event[2 * b] = 0
+    return compress(range(3 * b), is_event)
+
+
+def _a3_next_event(m: int, b: int) -> int:
+    """The least of the _a3_events of C(3, b) above m."""
+    m += 1
+    while m % 3 == 0 or m % b == 0:
+        m += 1
+    return m
+
+
+def _parameters(ms: Iterable[int], ab: int) -> list[float]:
+    """The crossing parameter cos(m*pi/ab) of each m, as -cos((ab - m)*pi/ab)
+    when 2m > ab so that m and ab - m give exact negatives (PARAMETER_ERROR)."""
+    cos, pi = math.cos, math.pi
+    return [cos(m * pi / ab) if 2 * m <= ab else -cos((ab - m) * pi / ab) for m in ms]
+
+
+def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
+    """All (a-1)(b-1)/2 crossings of the curve by decreasing x: one loop builds
+    the integers (h, k, m_t, m_s, xy_sign) of each row, a stable sort by the
+    integer key nu, x = cos(nu*pi/b), keeps tied keys (a >= 4) in (k, h)
+    order, and t and s follow from m_t and m_s by _parameters.  No
+    construction or certificate reads the crossings."""
     if a < 2 or b < 2:
         raise ChebknotError("degrees must be >= 2")
     if gcd(a, b) != 1:  # also refuses non-integers
@@ -100,74 +158,10 @@ def crossing_table(a: int, b: int) -> list[tuple[int, int, int, int, int]]:
     rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
     if len(rows) != (a - 1) * (b - 1) // 2:
         raise ChebknotError("crossing count mismatch")
-    return rows
-
-
-def _a3_families(b: int) -> tuple[tuple[int, int, slice, slice], ...]:
-    """The crossings of C(3, b) as three families: the paper's C_k, then
-    A_k and B_k for b = 3n + 1, B_k and A_k for b = 3n + 2
-    (harmonic.closed_form_crossing_indices).
-
-    Each family is (first, c, at_t, at_s): it holds the crossing_table(3, b)
-    slots first, first + 3, ... (x key nu = slot + 1), whose m_t and m_s are
-    range(3b)[at_t] and range(3b)[at_s] in slot order, and along which
-    c = xy_sign * (-1)^slot is constant:
-
-        nu = 3h,      k = 2:  m_t = 2b + nu, m_s = 2b - nu;
-        nu = b - 3h,  k = 1:  m_t = 2b - nu, m_s = nu;
-        nu = 3h - b,  k = 1:  m_t = 2b + nu, m_s = nu.
-
-    With xy_sign = (-1)^(h+k) sin_sign(k*b, 3) sin_sign(3h, b), the last
-    factor is -1 in the third family alone, so c = -sin_sign(2b, 3) in the
-    first and +-sin_sign(b, 3) (-1)^b in the other two.
-    """
-    first = (b - 1) % 3  # the slots nu - 1 = b - 1 - 3h
-    c = sin_sign(b, 3) if b % 2 == 0 else -sin_sign(b, 3)
-    return (
-        (2, -sin_sign(2 * b, 3), slice(2 * b + 3, None, 3), slice(2 * b - 3, b, -3)),
-        (first, c, slice(2 * b - first - 1, b, -3), slice(first + 1, b, 3)),
-        (1 - first, -c, slice(2 * b + 2 - first, None, 3), slice(2 - first, b, 3)),
-    )
-
-
-def _a3_crossing(b: int, slot: int) -> tuple[int, int]:
-    """(h, k) of the crossing_table(3, b) row at slot, read from its x key
-    nu = slot + 1: nu = 3h gives k = 2, nu = b - 3h or 3h - b gives k = 1."""
-    nu = slot + 1
-    if nu % 3 == 0:
-        return nu // 3, 2
-    return (b - nu if (b - nu) % 3 == 0 else b + nu) // 3, 1
-
-
-def _a3_events(b: int) -> Iterator[int]:
-    """The events of C(3, b) by increasing m, so by decreasing parameter: the
-    m in 1..3b - 1 with 3 not dividing m, other than b and 2b, which are
-    crossing_table's m_t and m_s."""
-    is_event = bytearray(b"\0\1\1") * b
-    is_event[b] = is_event[2 * b] = 0
-    return compress(range(3 * b), is_event)
-
-
-def _a3_next_event(m: int, b: int) -> int:
-    """The least of the _a3_events of C(3, b) above m."""
-    m += 1
-    while m % 3 == 0 or m % b == 0:
-        m += 1
-    return m
-
-
-def _parameters(ms: Iterable[int], ab: int) -> list[float]:
-    """The crossing parameter cos(m*pi/ab) of each m, as -cos((ab - m)*pi/ab)
-    when 2m > ab so that m and ab - m give exact negatives (PARAMETER_ERROR)."""
-    cos, pi = math.cos, math.pi
-    return [cos(m * pi / ab) if 2 * m <= ab else -cos((ab - m) * pi / ab) for m in ms]
-
-
-def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
-    """The crossing_table rows as named CrossingPoint tuples, with t and s by _parameters."""
-    h, k, m_t, m_s, xy = zip(*crossing_table(a, b))  # never empty: a, b >= 2 coprime
-    rows = zip(h, k, m_t, m_s, _parameters(m_t, a * b), _parameters(m_s, a * b), xy)
-    return list(map(tuple.__new__, repeat(CrossingPoint), rows))  # CrossingPoint._make, unchecked
+    ts = _parameters([row[2] for row in rows], ab)
+    ss = _parameters([row[3] for row in rows], ab)
+    new = tuple.__new__  # CrossingPoint._make, unchecked
+    return [new(CrossingPoint, (h, k, m_t, m_s, t, s, xy)) for (h, k, m_t, m_s, xy), t, s in zip(rows, ts, ss)]
 
 
 class ConwayForm(Record):
@@ -178,8 +172,8 @@ class ConwayForm(Record):
     def __init__(self, signs: Sequence[int], b: int) -> None:
         object.__setattr__(self, "signs", tuple(signs))
         object.__setattr__(self, "b", b)
-        if b < 2 or b % 3 == 0:
-            raise InvalidForm(f"b = {b} is not a valid diagram degree")
+        if type(b) is not int or b < 2 or b % 3 == 0:
+            raise InvalidForm(f"b = {b!r} is not a valid diagram degree")
         if len(self.signs) != b - 1:
             raise InvalidForm("need exactly b - 1 signs")
         try:

@@ -60,7 +60,7 @@ def harmonic_conway(b: int, lam: int) -> ConwayForm:
 
 
 def _label_slot(b: int, point: str, k: int) -> int:
-    """The crossing_table(3, b) slot of the crossing labelled A_k, B_k or C_k: 3k, 3k + 1 or 3k + 2."""
+    """The enumerate_crossings(3, b) slot of the crossing labelled A_k, B_k or C_k: 3k, 3k + 1 or 3k + 2."""
     if point not in ("A", "B", "C"):
         raise IndexOutOfRange(f"unknown point label {point!r}")
     if type(k) is not int:  # 0.5 or True would name a slot

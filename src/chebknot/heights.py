@@ -18,7 +18,7 @@ from operator import ne, neg
 from typing import Callable, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, _all_plus_or_minus_one, is_amphicheiral
-from .diagram import PARAMETER_ERROR, ConwayForm, _minimal_diagram, _parameters
+from .diagram import PARAMETER_ERROR, ConwayForm, CrossingPoint, _minimal_diagram, _parameters
 from .diagram import _a3_crossing, _a3_events, _a3_families, _a3_next_event
 from .errors import AmbiguousCrossing, ChebknotError, IsLink
 
@@ -34,15 +34,13 @@ class FloatHeight(NamedTuple):
     def label(self) -> str:
         return getattr(self.z, "__name__", "z")
 
-    def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
+    def decide_crossing(self, a: int, b: int, row: CrossingPoint) -> tuple[int, float]:
         """Sign of z(t) - z(s), with |z(t) - z(s)| as its margin."""
-        zt, zs = self.z(t), self.z(s)
+        zt, zs = self.z(row.t), self.z(row.s)
         separation = abs(zt - zs)
         if not separation >= SEPARATION_FLOOR:  # NaN fails too
-            raise AmbiguousCrossing(
-                f"|z(t)-z(s)| = {separation:.3e} below floor {SEPARATION_FLOOR:.3e} "
-                f"at crossing {(h, k)}"
-            )
+            raise AmbiguousCrossing(f"|z(t)-z(s)| = {separation:.3e} below floor {SEPARATION_FLOOR:.3e} "
+                                    f"at crossing {(row.h, row.k)}")
         return (1 if zt > zs else -1), separation
 
 
@@ -65,14 +63,17 @@ class GaussSequence(Record):
 
     @property
     def ms(self) -> tuple[int, ...]:
+        """The event ms, increasing; each read derives all 2(b - 1) events, in O(b)."""
         return tuple(_a3_events(self.b))
 
     @property
     def parameters(self) -> tuple[float, ...]:
+        """cos(m*pi/3b) of each event m; each read derives all 2(b - 1) events, in O(b)."""
         return tuple(_parameters(_a3_events(self.b), 3 * self.b))
 
     @property
     def events(self) -> tuple[tuple[float, int], ...]:
+        """(parameter, sign) of each event; each read derives all 2(b - 1) events, in O(b)."""
         return tuple(zip(self.parameters, self.signs))
 
     def __len__(self) -> int:
@@ -154,8 +155,11 @@ class HeightPolynomial(Record):
         if type(leading_sign) is not int or leading_sign not in (1, -1):
             raise ChebknotError("leading sign must be +1 or -1")
         if gaps is not None:
-            gaps = tuple(sorted(gaps))
-            if self.roots != self._of_gaps(leading_sign, b, gaps).roots:
+            height = self._of_gaps(leading_sign, b, tuple(sorted(gaps)))
+            gaps = height.gaps
+            if any(m % 3 == 0 or m % b == 0 for m in gaps) or len(set(gaps)) < len(gaps):
+                raise ChebknotError("gaps must be distinct events")
+            if self.roots != height.roots:
                 raise ChebknotError("roots must be the midpoints of their gaps")
         elif b is not None:
             raise ChebknotError("a degree b needs gaps")
@@ -167,8 +171,8 @@ class HeightPolynomial(Record):
         """The height on C(3, b) with these increasing gaps, each an event below the last."""
         if type(b) is not int or b < 2 or b % 3 == 0:
             raise ChebknotError("need a degree b >= 2 prime to 3")
-        if gaps and not 0 < gaps[0] <= gaps[-1] < 3 * b:
-            raise ChebknotError(f"gaps must be event ms, in 1..{3 * b - 1}")
+        if gaps and not 0 < gaps[0] <= gaps[-1] < 3 * b - 1:  # the ends alone, in O(1): __init__ checks the rest
+            raise ChebknotError(f"gaps must be event ms, in 1..{3 * b - 2}")
         height = object.__new__(cls)
         for name, value in (("leading_sign", leading_sign), ("b", b), ("gaps", gaps)):
             object.__setattr__(height, name, value)
@@ -198,20 +202,19 @@ class HeightPolynomial(Record):
     def label(self) -> str:
         return "z"
 
-    def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
+    def decide_crossing(self, a: int, b: int, row: CrossingPoint) -> tuple[int, float]:
         """Sign of z(t) - z(s) from root counts, with the distance from t or s
         to the nearest root as its margin.  z has the sign leading_sign *
         (-1)^(roots above p) at p.  On its own C(3, b) a height with gaps
         counts them exactly, bisect_left(gaps, m) roots above the event m,
-        and refuses strands of one sign.  Otherwise it counts its float
-        roots, which holds at the true crossing parameter too unless a root
-        lies within PARAMETER_ERROR of p; strands of opposite signs are
-        ordered by z(t), strands of one sign by the float rule."""
-        roots, n = self.roots, len(self.roots)
+        at row.m_t and row.m_s, and refuses strands of one sign.  Otherwise
+        it counts its float roots, which holds at the true crossing parameter
+        too unless a root lies within PARAMETER_ERROR of p; strands of
+        opposite signs are ordered by z(t), strands of one sign by the float rule."""
+        roots, n, t, s = self.roots, len(self.roots), row.t, row.s
         exact = b == self.b and a == 3  # b is None exactly when gaps is
         if exact:  # roots below t and below s
-            i = n - bisect_left(self.gaps, k * b + 3 * h)
-            j = n - bisect_left(self.gaps, abs(k * b - 3 * h))
+            i, j = n - bisect_left(self.gaps, row.m_t), n - bisect_left(self.gaps, row.m_s)
         else:
             i, j = bisect_left(roots, t), bisect_left(roots, s)  # roots[i - 1] < t <= roots[i]
         margin = min(
@@ -219,11 +222,11 @@ class HeightPolynomial(Record):
             s - roots[j - 1] if j else math.inf, roots[j] - s if j < n else math.inf,
         )
         if not exact and margin <= PARAMETER_ERROR:
-            raise AmbiguousCrossing(f"a root of z lies within {margin:.1e} of t or s at crossing {(h, k)}")
+            raise AmbiguousCrossing(f"a root of z lies within {margin:.1e} of t or s at crossing {(row.h, row.k)}")
         if (i - j) % 2 == 0:
             if exact:
-                raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")
-            return FloatHeight(self).decide_crossing(a, b, h, k, t, s)
+                raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(row.h, row.k)}")
+            return FloatHeight(self).decide_crossing(a, b, row)
         return (self.leading_sign if (n - i) % 2 == 0 else -self.leading_sign), margin
 
     @property

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
 from .contfrac import eval_cf_projective, Fraction, Record
-from .diagram import enumerate_crossings, twist_sign
+from .diagram import CrossingPoint, enumerate_crossings, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from .heights import FloatHeight, Parametrization, _twist_signs
 from .trig import chebyshev, sin_sign
@@ -40,14 +40,12 @@ class ChebyshevHeight(Record):
         # T_c(t) - T_c(s) = -2 sin(c*h*pi/b) sin(c*k*pi/a)
         return -self.sign * sin_sign(self.c * h, b) * sin_sign(self.c * k, a)
 
-    def decide_crossing(self, a: int, b: int, h: int, k: int, t: float, s: float) -> tuple[int, float]:
+    def decide_crossing(self, a: int, b: int, row: CrossingPoint) -> tuple[int, float]:
         """Exact sign of z(t) - z(s), with |z(t) - z(s)| from zdiff_sign's identity as its margin."""
-        zdiff = self.zdiff_sign(a, b, h, k)
+        zdiff = self.zdiff_sign(a, b, row.h, row.k)
         if zdiff == 0:
-            raise AmbiguousCrossing(
-                f"height degree shares a factor with ({a}, {b}) at crossing {(h, k)}"
-            )
-        ch, ck = self.c * h % (2 * b), self.c * k % (2 * a)
+            raise AmbiguousCrossing(f"height degree shares a factor with ({a}, {b}) at crossing {(row.h, row.k)}")
+        ch, ck = self.c * row.h % (2 * b), self.c * row.k % (2 * a)
         return zdiff, 2 * abs(math.sin(math.pi * ch / b) * math.sin(math.pi * ck / a))
 
     def label(self) -> str:
@@ -114,14 +112,14 @@ def measure_crossings(a: int, b: int, z: Callable[[float], float]) -> CurveSampl
 
     The crossing with the i-th largest x gets the twist sign
     (-1)^(i+1) * sign(D) with D = (z(t) - z(s)) x'(t) y'(t).  The sign of
-    z(t) - z(s) comes from the height's own decide_crossing.
+    z(t) - z(s) comes from the height's own decide_crossing(a, b, row).
     """
     height = z if hasattr(z, "decide_crossing") else FloatHeight(z)
     measured = []
-    for i, (h, k, _, _, t, s, xy) in enumerate(enumerate_crossings(a, b)):
-        zdiff, margin = height.decide_crossing(a, b, h, k, t, s)
-        d = zdiff * xy
-        measured.append(MeasuredCrossing(h, k, t, s, zdiff, xy, d, twist_sign(i, d), margin))
+    for i, row in enumerate(enumerate_crossings(a, b)):
+        zdiff, margin = height.decide_crossing(a, b, row)
+        d = zdiff * row.xy_sign
+        measured.append(MeasuredCrossing(row.h, row.k, row.t, row.s, zdiff, row.xy_sign, d, twist_sign(i, d), margin))
     return CurveSample(a, b, height.label(), tuple(measured))
 
 

@@ -15,6 +15,7 @@ import pytest
 import chebknot
 from chebknot.cli import main
 from chebknot.harmonic import HarmonicSpec, classify
+from chebknot.heights import HeightPolynomial
 from chebknot.oracle import CurveSample
 
 
@@ -230,6 +231,17 @@ def test_text_verify_builds_no_report(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "2001/1")
     assert code == 0
     assert out.startswith("verify 2001/1: OK  b=3001  deg(z)=3002  min_margin=")
+
+
+def test_json_param_builds_no_text(capsys, monkeypatch):
+    def no_text(self, digits=6):
+        raise AssertionError("HeightPolynomial.factored_text called")
+
+    monkeypatch.setattr(HeightPolynomial, "factored_text", no_text)
+    code, out, _ = run(capsys, "param", "2001/1", "--format", "json")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["b"], len(rec["z_roots"]), rec["N"]) == (3001, 3002, 2001)
 
 
 def test_verify_json_report(capsys):

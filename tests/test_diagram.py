@@ -21,7 +21,6 @@ from chebknot.diagram import (
     ConwayForm,
     CrossingPoint,
     conway_reversal_check,
-    crossing_table,
     enumerate_crossings,
     is_minimal_by_word,
     minimal_diagram,
@@ -43,7 +42,7 @@ from chebknot.trig import sin_sign
 # crossing enumeration
 # ---------------------------------------------------------------------------
 
-# The per-crossing formulas crossing_table computes inline, kept one call per
+# The per-crossing formulas enumerate_crossings computes inline, kept one call per
 # quantity as the reference its rows are checked against.
 
 def parameter_value(m: int, denom: int) -> float:
@@ -133,7 +132,8 @@ def _reference_rows(a: int, b: int) -> list[tuple]:
 
 
 def _integer_rows(rows: list[tuple]) -> list[tuple]:
-    """The reference rows without t and s: what crossing_table holds."""
+    """Rows without t and s: the integers (h, k, m_t, m_s, xy_sign) each
+    enumerate_crossings row is built from."""
     return [row[:4] + row[6:] for row in rows]
 
 
@@ -142,16 +142,14 @@ def test_crossing_table_equals_crossing_point_properties():
         for b in range(2, 200):
             if gcd(a, b) != 1:
                 continue
-            rows = _reference_rows(a, b)
-            assert crossing_table(a, b) == _integer_rows(rows), (a, b)
-            assert enumerate_crossings(a, b) == rows, (a, b)
+            assert enumerate_crossings(a, b) == _reference_rows(a, b), (a, b)
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=st.integers(2, 13), b=st.integers(2, 600))
 def test_cold_crossing_tables_equal_the_reference_rows(a, b):
     assume(gcd(a, b) == 1)
-    assert crossing_table(a, b) == _integer_rows(_reference_rows(a, b))
+    assert enumerate_crossings(a, b) == _reference_rows(a, b)
 
 
 def test_enumerate_crossings_names_the_table_rows():
@@ -160,7 +158,7 @@ def test_enumerate_crossings_names_the_table_rows():
             if gcd(a, b) != 1:
                 continue
             points = enumerate_crossings(a, b)
-            table = crossing_table(a, b)
+            table = _integer_rows(_reference_rows(a, b))
             assert len(points) == len(table), (a, b)
             for p, row in zip(points, table):
                 assert type(p) is CrossingPoint
@@ -168,7 +166,7 @@ def test_enumerate_crossings_names_the_table_rows():
 
 
 def test_a3_keys_are_a_permutation_so_slots_equal_the_sort():
-    # the keys of crossing_table(3, b) are 1..b-1, so its sort puts each row
+    # the keys of enumerate_crossings(3, b) are 1..b-1, so its sort puts each row
     # at slot x_key - 1, the slots diagram._a3_families reads
     for b in range(2, 3000):
         if b % 3 == 0:
@@ -183,7 +181,7 @@ def test_a3_families_are_the_crossing_table_rows():
     for b in range(2, 3000):
         if b % 3 == 0:
             continue
-        rows, m = crossing_table(3, b), range(3 * b)
+        rows, m = _integer_rows(enumerate_crossings(3, b)), range(3 * b)
         families = diagram._a3_families(b)
         assert sorted(first for first, *_ in families) == [0, 1, 2], b
         for first, c, at_t, at_s in families:
@@ -196,7 +194,7 @@ def test_a3_families_are_the_crossing_table_rows():
 
 @pytest.mark.parametrize("b", [997, 1000, 2003, 2995, 2999])
 def test_large_a3_tables_equal_the_x_key_sort(b):
-    assert crossing_table(3, b) == _integer_rows(_reference_rows(3, b))
+    assert enumerate_crossings(3, b) == _reference_rows(3, b)
 
 
 def _reference_events(b: int) -> tuple[tuple, tuple]:
@@ -218,14 +216,15 @@ def test_tables_equal_the_reference_first_and_again():
     random.Random(8).shuffle(pairs)
     for i, (a, b) in enumerate(pairs):
         rows = _reference_rows(a, b)
-        calls = [(crossing_table, _integer_rows(rows)), (enumerate_crossings, rows)]
+        calls = [(enumerate_crossings, rows)]
         if a == 3:
             calls.append((lambda a, b: _events_of(b), _reference_events(b)))
         for _visit in ("first", "again"):
             for call, want in calls[::-1] if i % 2 else calls:
                 assert call(a, b) == want, (a, b, call.__name__)
             # == would let 1.0 or True stand for 1
-            assert {tuple(map(type, row)) for row in crossing_table(a, b)} == {(int,) * 5}, (a, b)
+            types = {tuple(map(type, row)) for row in enumerate_crossings(a, b)}
+            assert types == {(int, int, int, int, float, float, int)}, (a, b)
 
 
 def test_a3_events_are_the_closed_form_set():
@@ -234,7 +233,7 @@ def test_a3_events_are_the_closed_form_set():
     for b in range(2, 3000):
         if b % 3 == 0:
             continue
-        _, _, m_t, m_s, _ = zip(*crossing_table(3, b))
+        _, _, m_t, m_s, *_ = zip(*enumerate_crossings(3, b))
         closed = [m for m in range(1, 3 * b) if m % 3 and m not in (b, 2 * b)]
         assert sorted(m_t + m_s) == list(diagram._a3_events(b)) == closed, b
         assert list(map(diagram._a3_next_event, [0, *closed[:-1]], repeat(b))) == closed, b
@@ -256,26 +255,26 @@ def test_a3_parameters_equal_the_event_parameters_bit_for_bit():
 
 
 def test_crossing_table_returns_a_new_list_every_call():
-    first = crossing_table(3, 5)
+    first = enumerate_crossings(3, 5)
     first[0] = None
     first.append("extra")
-    again = crossing_table(3, 5)
-    assert again == _integer_rows(_reference_rows(3, 5))
-    assert again is not crossing_table(3, 5)
+    again = enumerate_crossings(3, 5)
+    assert again == _reference_rows(3, 5)
+    assert again is not enumerate_crossings(3, 5)
 
 
 def test_tables_refuse_invalid_degrees():
     gauss_sequence(ConwayForm((1,) * 4, 5))
-    with pytest.raises(TypeError):  # ConwayForm accepts 5.0, as 5.0 == 5
-        gauss_sequence(ConwayForm((1,) * 4, 5.0))
+    with pytest.raises(InvalidForm):  # 5.0 == 5, but it is no int
+        ConwayForm((1,) * 4, 5.0)
     with pytest.raises(TypeError):
-        crossing_table(3, 5.0)
+        enumerate_crossings(3, 5.0)
     with pytest.raises(TypeError):
         enumerate_crossings(3.0, 5)
     with pytest.raises(NotCoprime):
-        crossing_table(3, 6)
+        enumerate_crossings(3, 6)
     with pytest.raises(ChebknotError):
-        crossing_table(1, 5)
+        enumerate_crossings(1, 5)
 
 
 def test_concurrent_callers_see_the_single_threaded_tables():
@@ -287,7 +286,6 @@ def test_concurrent_callers_see_the_single_threaded_tables():
     def worker(i: int) -> int:
         order = degrees[i:] + degrees[:i]
         for b in order + order[::-1]:
-            assert crossing_table(3, b) == _integer_rows(tables[b]), b
             assert enumerate_crossings(3, b) == tables[b], b
             assert gauss_sequence(forms[b]) == sequences[b], b
         return i

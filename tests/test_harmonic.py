@@ -137,12 +137,12 @@ def test_closed_form_crossing_indices_are_the_crossing_table_order():
     # A_k, B_k, C_k sit at slots 3k, 3k + 1, 3k + 2; for b = 3n + 2, A_n is
     # last.  Every label below b = 300; beyond, the ends and the middle of
     # each family, whose h runs by one per k.
-    from chebknot.diagram import crossing_table
+    from chebknot.diagram import enumerate_crossings
 
     for b in range(2, 3000):
         if b % 3 == 0:
             continue
-        rows = crossing_table(3, b)
+        rows = enumerate_crossings(3, b)
         for offset, point in enumerate("ABC"):
             count = len(rows[offset::3])
             ks = range(count) if b < 300 else sorted({0, 1, count // 2, count - 2, count - 1})

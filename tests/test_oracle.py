@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import bench_inputs, fractions_with_crossing_number_up_to
 from test_heights import _random_one_regular
-from chebknot import diagram
+from chebknot import oracle
 from chebknot.bridge import Equivalence, canonicalize, equivalent
 from chebknot.contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
-from chebknot.diagram import PARAMETER_ERROR, ConwayForm, crossing_table, enumerate_crossings, twist_sign
+from chebknot.diagram import PARAMETER_ERROR, ConwayForm, _a3_next_event, _parameters, enumerate_crossings, twist_sign
 from chebknot.errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from chebknot.harmonic import (
     classify,
@@ -69,7 +69,7 @@ def test_chebyshev_margin_is_the_float_separation():
                 for p in crossings:
                     if z.zdiff_sign(a, b, p.h, p.k) == 0:
                         continue
-                    _, margin = z.decide_crossing(a, b, p.h, p.k, p.t, p.s)
+                    _, margin = z.decide_crossing(a, b, p)
                     assert margin == pytest.approx(abs(chebyshev(c, p.t) - chebyshev(c, p.s)), abs=1e-9)
 
 
@@ -367,10 +367,10 @@ def test_gap_decisions_equal_the_float_rule_on_giants(seed):
 
 def _reference_twist_signs(height: HeightPolynomial) -> list[int]:
     """The twist signs of a height with gaps on its own C(3, b) by one pass
-    over the crossing_table rows, two bisect_left calls a row: the loop
+    over the enumerate_crossings rows, two bisect_left calls a row: the loop
     verify_parametrization replaced with the three-family slices."""
     gaps, lead, signs = height.gaps, height.leading_sign, []
-    for i, (h, k, m_t, m_s, xy) in enumerate(crossing_table(3, height.b)):
+    for i, (h, k, m_t, m_s, _, _, xy) in enumerate(enumerate_crossings(3, height.b)):
         above = bisect_left(gaps, m_t)  # roots above the parameter of m_t
         if (above - bisect_left(gaps, m_s)) % 2 == 0:
             raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(h, k)}")
@@ -429,13 +429,18 @@ def _with_height(p: Parametrization, height: HeightPolynomial) -> Parametrizatio
 def _moved_root(height: HeightPolynomial, g, j: int, step: int) -> HeightPolynomial | None:
     """height, built from g, with root j moved into the neighbouring gap,
     one event up (step = 1) or down (step = -1), its float rendered like
-    the others; None when no gap lies there."""
-    gaps = list(height.gaps)
-    i = g.ms.index(gaps[j]) + step
-    if not 0 <= i <= len(g.ms) - 2:  # the last gap an event opens
+    the others; None when no gap lies there.  Moved into the gap of another
+    root, it cancels that root, as (t - r)^2 has no sign change, and both
+    go: a height's gaps are distinct."""
+    gaps, ms, parameters = list(height.gaps), g.ms, g.parameters  # each read derives every event
+    index = {m: i for i, m in enumerate(ms)}
+    i = index[gaps[j]] + step
+    if not 0 <= i <= len(ms) - 2:  # the last gap an event opens
         return None
-    gaps[j] = g.ms[i]
-    roots = [(g.events[g.ms.index(m)][0] + g.events[g.ms.index(m) + 1][0]) / 2.0 for m in gaps]
+    gaps[j] = ms[i]
+    if gaps.count(ms[i]) == 2:
+        gaps = [m for m in gaps if m != ms[i]]
+    roots = [(parameters[index[m]] + parameters[index[m] + 1]) / 2.0 for m in gaps]
     return HeightPolynomial(roots, height.leading_sign, height.b, gaps)
 
 
@@ -466,9 +471,9 @@ def test_heights_without_gaps_get_the_same_verdicts():
 
 def test_constructions_are_certified_without_a_crossing_table(monkeypatch):
     def no_table(a, b):
-        raise AssertionError(f"crossing_table({a}, {b}) called")
+        raise AssertionError(f"enumerate_crossings({a}, {b}) called")
 
-    monkeypatch.setattr(diagram, "crossing_table", no_table)
+    monkeypatch.setattr(oracle, "enumerate_crossings", no_table)
     for r in _census_to(10):
         assert verify_parametrization(r, parametrization(r)) is True, r
 
@@ -503,15 +508,24 @@ def test_a_gap_height_off_its_own_diagram_takes_the_float_rule():
         assert measure_crossings(3, b, p.height) == measure_crossings(3, b, _float_twin(p.height))
 
 
+def _gap_roots(b: int, gaps: tuple[int, ...]) -> tuple[float, ...]:
+    """The midpoint roots of the gaps, as HeightPolynomial derives them."""
+    nexts = [_a3_next_event(m, b) for m in gaps]
+    return tuple((p + q) / 2.0 for p, q in zip(_parameters(gaps, 3 * b), _parameters(nexts, 3 * b)))
+
+
 @pytest.mark.parametrize(
-    "b, gaps",
-    [(None, (1,)), (8, ()), (8, (1, 2)), (9, (1,)), (True, (1,)), (8, None), (8, (0,)), (8, (24,))],
+    "b, gaps, roots",
+    [(None, (1,), (0.5,)), (8, (), (0.5,)), (8, (1, 2), (0.5,)), (9, (1,), (0.5,)), (True, (1,), (0.5,)),
+     (8, None, (0.5,)), (8, (0,), (0.5,)), (8, (24,), (0.5,)),
+     (2, (3,), _gap_roots(2, (3,))), (4, (6, 6, 7), _gap_roots(4, (6, 6, 7))),
+     (4, (5, 5, 7), _gap_roots(4, (5, 5, 7))), (8, (23,), _gap_roots(8, (23,)))],
     ids=["no-b", "too-few", "too-many", "b-divisible-by-3", "bool-b", "b-without-gaps", "gap-below-events",
-         "gap-above-events"],
+         "gap-above-events", "gap-not-an-event", "repeated-gap", "repeated-event", "gap-at-the-last-event"],
 )
-def test_height_polynomial_checks_its_gaps(b, gaps):
+def test_height_polynomial_checks_its_gaps(b, gaps, roots):
     with pytest.raises(ChebknotError):
-        HeightPolynomial((0.5,), 1, b, gaps)
+        HeightPolynomial(roots, 1, b, gaps)
 
 
 def test_a_height_refuses_roots_its_gaps_do_not_give():
