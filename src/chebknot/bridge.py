@@ -103,6 +103,8 @@ class FamilySpec(Record):
     def __init__(self, kind: str, index: int) -> None:
         if kind not in FAMILY_KINDS:
             raise IndexOutOfRange(f"unknown family {kind!r}")
+        if type(index) is not int:  # 2.5 or True names no member
+            raise IndexOutOfRange(f"family index {index!r} is not an int")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
 

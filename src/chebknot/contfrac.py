@@ -50,7 +50,7 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__ (HeightPolynomial overrides this)
         return type(self), self._values()
 
     def __setattr__(self, name: str, value: object = None) -> None:

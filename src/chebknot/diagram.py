@@ -133,9 +133,9 @@ def enumerate_crossings(a: int, b: int) -> list[CrossingPoint]:
     integer key nu, x = cos(nu*pi/b), keeps tied keys (a >= 4) in (k, h)
     order, and t and s follow from m_t and m_s by _parameters.  No
     construction or certificate reads the crossings."""
-    if a < 2 or b < 2:
-        raise ChebknotError("degrees must be >= 2")
-    if gcd(a, b) != 1:  # also refuses non-integers
+    if type(a) is not int or type(b) is not int or a < 2 or b < 2:
+        raise ChebknotError(f"degrees ({a!r}, {b!r}) must be ints >= 2")
+    if gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) != 1")
     ab, b2 = a * b, 2 * b
     rows: list[tuple[int, int, int, int, int]] = []

@@ -21,6 +21,7 @@ from .errors import (
     BDivisibleBy3,
     ChebknotError,
     IndexOutOfRange,
+    InvalidForm,
     IsLink,
     NotPairwiseCoprime,
     TrivialKnot,
@@ -29,15 +30,15 @@ from .trig import sin_sign
 
 
 class HarmonicSpec(Record):
-    """Degrees (a, b, c) of a harmonic curve; must be pairwise coprime."""
+    """Degrees (a, b, c) of a harmonic curve; must be pairwise coprime ints."""
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int) -> None:
         if min(a, b, c) < 1:
             raise ChebknotError("degrees must be positive")
-        if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
-            raise NotPairwiseCoprime(f"({a}, {b}, {c})")
+        if not type(a) is type(b) is type(c) is int or gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
+            raise NotPairwiseCoprime(f"({a!r}, {b!r}, {c!r})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -51,12 +52,19 @@ def harmonic_conway(b: int, lam: int) -> ConwayForm:
     sequence is one-regular with lam - 1 sign changes, so the crossing
     number is b - lam.
     """
-    if b % 3 == 0:
-        raise BDivisibleBy3(f"b = {b} is divisible by 3")
-    if not (0 < 2 * lam < b) or gcd(lam, b) != 1:
-        raise BadLambda(f"lambda = {lam} invalid for b = {b}")
+    _check_degree(b)
+    if type(lam) is not int or not (0 < 2 * lam < b) or gcd(lam, b) != 1:
+        raise BadLambda(f"lambda = {lam!r} invalid for b = {b}")
     signs = tuple(sin_sign(k * lam, b) for k in range(1, b))
     return ConwayForm(signs, b)
+
+
+def _check_degree(b: int) -> None:
+    """Refuse a diagram degree b that is not an int, as ConwayForm does, or that 3 divides."""
+    if type(b) is not int:
+        raise InvalidForm(f"b = {b!r} is not a valid diagram degree")
+    if b % 3 == 0:
+        raise BDivisibleBy3(f"b = {b} is divisible by 3")
 
 
 def _label_slot(b: int, point: str, k: int) -> int:
@@ -78,10 +86,9 @@ def crossing_sign_closed_form(b: int, lam: int, point: str, k: int) -> int:
     The crossings with the i-th, (i+1)-th, (i+2)-th largest x, i = 3k + 1,
     are labelled A_k, B_k, C_k; for b = 3n + 2 the last crossing is A_n.
     """
-    if b % 3 == 0:
-        raise BDivisibleBy3(f"b = {b} is divisible by 3")
-    if gcd(lam, b) != 1:
-        raise BadLambda(f"lambda = {lam} shares a factor with b = {b}")
+    _check_degree(b)
+    if type(lam) is not int or gcd(lam, b) != 1:
+        raise BadLambda(f"lambda = {lam!r} is not an int prime to b = {b}")
     slot = _label_slot(b, point, k)
     return twist_sign(slot, sin_sign((slot + 1) * lam, b))
 
@@ -93,8 +100,7 @@ def closed_form_crossing_indices(b: int, point: str, k: int) -> tuple[int, int]:
     A_k, B_k, C_k are the crossings with the i-th, (i+1)-th, (i+2)-th
     largest x, i = 3k + 1; for b = 3n + 2 the last crossing is A_n.
     """
-    if b % 3 == 0:
-        raise BDivisibleBy3(f"b = {b} is divisible by 3")
+    _check_degree(b)
     return _a3_crossing(b, _label_slot(b, point, k))[::-1]
 
 

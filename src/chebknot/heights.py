@@ -136,47 +136,38 @@ def count_sign_changes(g: GaussSequence) -> int:
 class HeightPolynomial(Record):
     """Real polynomial stored as leading sign times a product of (t - r).
 
-    A height built on the diagram C(3, b) also keeps b and, in gaps, one
-    integer per root, in increasing order: the m of the Gauss event that
-    opens the gap between consecutive event parameters in which the root
-    sits.  A gap g puts its root below the parameter cos(m*pi/3b) of every
-    event m <= g and above every other one: z's sign flips after each gap
-    (_twist_signs).  roots must be their float rendering, which __getattr__
-    derives on first read and keeps where _of_gaps leaves it unset.
+    HeightPolynomial(roots, leading_sign) has float roots, b and gaps None.
+    A height that parametrization or build_height makes on C(3, b) keeps b
+    and, in gaps, one increasing integer per root: the m of the Gauss event
+    that opens the gap between consecutive event parameters in which the
+    root sits.  A gap g puts its root below the parameter cos(m*pi/3b) of
+    every event m <= g and above every other one: z's sign flips after each
+    gap (_twist_signs).  __getattr__ derives its float roots on first read.
     """
 
     __slots__ = ("roots", "leading_sign", "b", "gaps")
 
-    def __init__(self, roots: Sequence[float], leading_sign: int, b: int | None = None,
-                 gaps: Sequence[int] | None = None) -> None:
+    def __init__(self, roots: Sequence[float], leading_sign: int) -> None:
         object.__setattr__(self, "roots", tuple(sorted(roots)))
         if not all(map(math.isfinite, self.roots)):
             raise ChebknotError("roots must be finite")
         if type(leading_sign) is not int or leading_sign not in (1, -1):
             raise ChebknotError("leading sign must be +1 or -1")
-        if gaps is not None:
-            height = self._of_gaps(leading_sign, b, tuple(sorted(gaps)))
-            gaps = height.gaps
-            if any(m % 3 == 0 or m % b == 0 for m in gaps) or len(set(gaps)) < len(gaps):
-                raise ChebknotError("gaps must be distinct events")
-            if self.roots != height.roots:
-                raise ChebknotError("roots must be the midpoints of their gaps")
-        elif b is not None:
-            raise ChebknotError("a degree b needs gaps")
-        for name, value in (("leading_sign", leading_sign), ("b", b), ("gaps", gaps)):
+        for name, value in (("leading_sign", leading_sign), ("b", None), ("gaps", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _of_gaps(cls, leading_sign: int, b: int, gaps: tuple[int, ...]) -> HeightPolynomial:
-        """The height on C(3, b) with these increasing gaps, each an event below the last."""
-        if type(b) is not int or b < 2 or b % 3 == 0:
-            raise ChebknotError("need a degree b >= 2 prime to 3")
-        if gaps and not 0 < gaps[0] <= gaps[-1] < 3 * b - 1:  # the ends alone, in O(1): __init__ checks the rest
-            raise ChebknotError(f"gaps must be event ms, in 1..{3 * b - 2}")
+        """The height on C(3, b) with _height's gaps, increasing events below the last, unchecked."""
         height = object.__new__(cls)
         for name, value in (("leading_sign", leading_sign), ("b", b), ("gaps", gaps)):
             object.__setattr__(height, name, value)
         return height
+
+    def __reduce__(self) -> tuple:  # a gap height rebuilds from its gaps, leaving its roots unread
+        if self.gaps is None:
+            return type(self), (self.roots, self.leading_sign)
+        return self._of_gaps, (self.leading_sign, self.b, self.gaps)
 
     def __getattr__(self, name: str) -> tuple[float, ...]:
         # only unset slots get here, and roots is unset only after _of_gaps

@@ -128,6 +128,9 @@ def test_family_dispatcher_and_ranges():
         family_fraction(FamilySpec("kn", 1))
     with pytest.raises(IndexOutOfRange):
         FamilySpec("granny", 2)
+    for index in (2.5, 3.0, True):  # True would answer 3/1
+        with pytest.raises(IndexOutOfRange):
+            FamilySpec("torus", index)
 
 
 def test_family_crossing_numbers():

@@ -267,9 +267,9 @@ def test_tables_refuse_invalid_degrees():
     gauss_sequence(ConwayForm((1,) * 4, 5))
     with pytest.raises(InvalidForm):  # 5.0 == 5, but it is no int
         ConwayForm((1,) * 4, 5.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ChebknotError):
         enumerate_crossings(3, 5.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ChebknotError):
         enumerate_crossings(3.0, 5)
     with pytest.raises(NotCoprime):
         enumerate_crossings(3, 6)

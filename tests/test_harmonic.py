@@ -16,6 +16,7 @@ from chebknot.errors import (
     BadLambda,
     BDivisibleBy3,
     IndexOutOfRange,
+    InvalidForm,
     IsLink,
     NotPairwiseCoprime,
     TrivialKnot,
@@ -161,6 +162,28 @@ def test_closed_form_crossing_indices_refuse_what_is_not_a_crossing(b, point, k)
         closed_form_crossing_indices(b, point, k)
     with pytest.raises(BDivisibleBy3 if b % 3 == 0 else IndexOutOfRange):
         crossing_sign_closed_form(b, 1, point, k)
+
+
+NON_INT_CALLS = [
+    (closed_form_crossing_indices, (4.0, "A", 0), InvalidForm),
+    (crossing_sign_closed_form, (4.0, 1, "A", 0), InvalidForm),
+    (crossing_sign_closed_form, (7, 2.0, "A", 0), BadLambda),
+    (harmonic_conway, (4.0, 1), InvalidForm),
+    (harmonic_conway, (7, 2.0), BadLambda),
+    (harmonic_conway, (7, True), BadLambda),
+    (harmonic_conway, (6, 1.0), BDivisibleBy3),  # b is checked first, as for ints
+    (HarmonicSpec, (3, 4.0, 5), NotPairwiseCoprime),
+    (HarmonicSpec, (3, True, 5), NotPairwiseCoprime),
+    (mirror_equivalent_c, (3, 4.0, 5), NotPairwiseCoprime),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, error", NON_INT_CALLS, ids=[f"{call.__name__}{args}" for call, args, _ in NON_INT_CALLS]
+)
+def test_harmonic_entry_points_refuse_non_ints(call, args, error):
+    with pytest.raises(error):
+        call(*args)
 
 
 @pytest.mark.parametrize("point", ["a", "", None])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 from bisect import bisect_left
 from math import gcd
@@ -16,7 +18,7 @@ from test_heights import _random_one_regular
 from chebknot import oracle
 from chebknot.bridge import Equivalence, canonicalize, equivalent
 from chebknot.contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
-from chebknot.diagram import PARAMETER_ERROR, ConwayForm, _a3_next_event, _parameters, enumerate_crossings, twist_sign
+from chebknot.diagram import PARAMETER_ERROR, ConwayForm, enumerate_crossings, twist_sign
 from chebknot.errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from chebknot.harmonic import (
     classify,
@@ -325,6 +327,12 @@ def test_height_polynomial_refuses_a_bool_leading_sign():
         HeightPolynomial((0.1,), True)
 
 
+def test_height_polynomial_takes_only_roots_and_a_leading_sign():
+    # gap heights come from parametrization and build_height alone
+    with pytest.raises(TypeError):
+        HeightPolynomial((0.5,), 1, 8, (1,))
+
+
 def test_chebyshev_height_checks_its_input():
     for c, sign in ((7, 2), (7, 0), (0, 1), (-5, 1), (5, True)):
         with pytest.raises(ChebknotError) as info:
@@ -428,20 +436,17 @@ def _with_height(p: Parametrization, height: HeightPolynomial) -> Parametrizatio
 
 def _moved_root(height: HeightPolynomial, g, j: int, step: int) -> HeightPolynomial | None:
     """height, built from g, with root j moved into the neighbouring gap,
-    one event up (step = 1) or down (step = -1), its float rendered like
-    the others; None when no gap lies there.  Moved into the gap of another
-    root, it cancels that root, as (t - r)^2 has no sign change, and both
-    go: a height's gaps are distinct."""
-    gaps, ms, parameters = list(height.gaps), g.ms, g.parameters  # each read derives every event
-    index = {m: i for i, m in enumerate(ms)}
-    i = index[gaps[j]] + step
+    one event up (step = 1) or down (step = -1); None when no gap lies
+    there.  Moved into the gap of another root, it cancels that root, as
+    (t - r)^2 has no sign change, and both go: a height's gaps are distinct."""
+    gaps, ms = list(height.gaps), g.ms  # each read derives every event
+    i = ms.index(gaps[j]) + step
     if not 0 <= i <= len(ms) - 2:  # the last gap an event opens
         return None
     gaps[j] = ms[i]
     if gaps.count(ms[i]) == 2:
         gaps = [m for m in gaps if m != ms[i]]
-    roots = [(parameters[index[m]] + parameters[index[m] + 1]) / 2.0 for m in gaps]
-    return HeightPolynomial(roots, height.leading_sign, height.b, gaps)
+    return HeightPolynomial._of_gaps(height.leading_sign, height.b, tuple(gaps))
 
 
 def test_a_root_moved_to_a_neighbouring_gap_is_refused():
@@ -493,7 +498,7 @@ def test_a_flipped_leading_sign_gives_the_mirror_image():
     for r in _census_to(10):
         p = parametrization(r)
         h = p.height
-        flipped = _with_height(p, HeightPolynomial(h.roots, -h.leading_sign, h.b, h.gaps))
+        flipped = _with_height(p, HeightPolynomial._of_gaps(-h.leading_sign, h.b, h.gaps))
         if is_amphicheiral(r.num, r.den):
             assert verify_parametrization(r, flipped) is True  # its own mirror image
         else:
@@ -502,38 +507,18 @@ def test_a_flipped_leading_sign_gives_the_mirror_image():
     assert chiral > 300
 
 
+@pytest.mark.parametrize("r", [Fraction(9, 2), Fraction(2001, 1)], ids=str)
+def test_copies_of_a_gap_height_rebuild_from_its_gaps(r):
+    p = parametrization(r)
+    clones = (copy.copy(p.height), copy.deepcopy(p.height), pickle.loads(pickle.dumps(p.height)))
+    for height in (p.height, *clones):  # no copy derives roots
+        with pytest.raises(AttributeError):
+            HeightPolynomial.roots.__get__(height)
+    for clone in clones:
+        assert clone == p.height and verify_parametrization(r, _with_height(p, clone)) is True
+
+
 def test_a_gap_height_off_its_own_diagram_takes_the_float_rule():
     p = parametrization(Fraction(9, 2))  # b = 8
     for b in (7, 10):
         assert measure_crossings(3, b, p.height) == measure_crossings(3, b, _float_twin(p.height))
-
-
-def _gap_roots(b: int, gaps: tuple[int, ...]) -> tuple[float, ...]:
-    """The midpoint roots of the gaps, as HeightPolynomial derives them."""
-    nexts = [_a3_next_event(m, b) for m in gaps]
-    return tuple((p + q) / 2.0 for p, q in zip(_parameters(gaps, 3 * b), _parameters(nexts, 3 * b)))
-
-
-@pytest.mark.parametrize(
-    "b, gaps, roots",
-    [(None, (1,), (0.5,)), (8, (), (0.5,)), (8, (1, 2), (0.5,)), (9, (1,), (0.5,)), (True, (1,), (0.5,)),
-     (8, None, (0.5,)), (8, (0,), (0.5,)), (8, (24,), (0.5,)),
-     (2, (3,), _gap_roots(2, (3,))), (4, (6, 6, 7), _gap_roots(4, (6, 6, 7))),
-     (4, (5, 5, 7), _gap_roots(4, (5, 5, 7))), (8, (23,), _gap_roots(8, (23,)))],
-    ids=["no-b", "too-few", "too-many", "b-divisible-by-3", "bool-b", "b-without-gaps", "gap-below-events",
-         "gap-above-events", "gap-not-an-event", "repeated-gap", "repeated-event", "gap-at-the-last-event"],
-)
-def test_height_polynomial_checks_its_gaps(b, gaps, roots):
-    with pytest.raises(ChebknotError):
-        HeightPolynomial(roots, 1, b, gaps)
-
-
-def test_a_height_refuses_roots_its_gaps_do_not_give():
-    r = Fraction(9, 2)
-    p = parametrization(r)  # b = 8, ten gaps
-    with pytest.raises(ChebknotError, match="midpoints of their gaps"):
-        HeightPolynomial((0.0,) * 10, p.height.leading_sign, 8, p.height.gaps)
-    # the derived roots themselves, in any order, are accepted and certified
-    height = HeightPolynomial(p.height.roots[::-1], p.height.leading_sign, 8, p.height.gaps[::-1])
-    assert height == p.height and verify_parametrization(r, _with_height(p, height)) is True
-

@@ -53,10 +53,9 @@ CASES = [
     ),
     (
         HeightPolynomial,
-        ("roots", "leading_sign", "b", "gaps"),
-        ((-0.5624222244434798, 0.5624222244434798), -1, 4, (2, 7)),
-        "HeightPolynomial(roots=(-0.5624222244434798, 0.5624222244434798), "
-        "leading_sign=-1, b=4, gaps=(2, 7))",
+        ("roots", "leading_sign"),
+        ((-0.5, 0.5), -1),
+        "HeightPolynomial(roots=(-0.5, 0.5), leading_sign=-1, b=None, gaps=None)",
     ),
     (
         Parametrization,
