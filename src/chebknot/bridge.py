@@ -62,8 +62,12 @@ def canonicalize(alpha: int, beta: int) -> TwoBridgeKnot:
     Accepts any beta coprime to alpha (negative means mirror).  The same
     knot always yields the same (alpha, beta, mirror) triple.
     """
+    if type(alpha) is not int:  # not isinstance: True is an int
+        raise AlphaNonPositive(f"alpha must be an int, got {alpha!r}")
     if alpha <= 0:
         raise AlphaNonPositive(f"alpha must be positive, got {alpha}")
+    if type(beta) is not int:
+        raise NotCoprime(f"beta must be an int, got {beta!r}")
     if gcd(alpha, beta) != 1:
         raise NotCoprime(f"gcd({alpha}, {beta}) != 1")
     b0 = beta % alpha
@@ -109,38 +113,41 @@ class FamilySpec(Record):
         object.__setattr__(self, "index", index)
 
 
+def _check_index(index: int, least: int, message: str) -> None:
+    """Refuse a family index that is not an int, as FamilySpec does, or is below least."""
+    if type(index) is not int:
+        raise IndexOutOfRange(f"family index {index!r} is not an int")
+    if index < least:
+        raise IndexOutOfRange(message)
+
+
 def torus_fraction(n: int) -> Fraction:
     """T(2, 2n+1), fraction (2n+1)/1."""
-    if n < 1:
-        raise IndexOutOfRange("torus index must be >= 1")
+    _check_index(n, 1, "torus index must be >= 1")
     return Fraction(2 * n + 1, 1)
 
 
 def twist_fraction(n: int) -> Fraction:
     """Twist knot with n twists, fraction (2n+1)/2."""
-    if n < 1:
-        raise IndexOutOfRange("twist index must be >= 1")
+    _check_index(n, 1, "twist index must be >= 1")
     return Fraction(2 * n + 1, 2)
 
 
 def stevedore_fraction(k: int) -> Fraction:
     """Generalized stevedore knot, the reduced value of 2k+2 + 1/(2k)."""
-    if k < 1:
-        raise IndexOutOfRange("stevedore index must be >= 1")
+    _check_index(k, 1, "stevedore index must be >= 1")
     return Fraction((2 * k + 1) ** 2, 2 * k)
 
 
 def fibonacci_fraction(b: int) -> Fraction:
     """F_b / F_{b-1}, the all-plus-one expansion of length b-1."""
-    if b < 3:
-        raise IndexOutOfRange("fibonacci index must be >= 3")
+    _check_index(b, 3, "fibonacci index must be >= 3")
     return Fraction(fibonacci(b), fibonacci(b - 1))
 
 
 def kn_fraction(n: int) -> Fraction:
     """The family with word P M P^n M P: 5*F_{n+1} over F_{n+1} + F_{n-1}."""
-    if n < 2:
-        raise IndexOutOfRange("kn index must be > 1")
+    _check_index(n, 2, "kn index must be > 1")
     return Fraction(5 * fibonacci(n + 1), fibonacci(n + 1) + fibonacci(n - 1))
 
 

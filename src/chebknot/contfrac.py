@@ -50,8 +50,14 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__ (HeightPolynomial overrides this)
+    def __reduce__(self) -> tuple:  # pickle rebuilds through __init__ (HeightPolynomial overrides this)
         return type(self), self._values()
+
+    def __copy__(self) -> Record:  # immutable, so a copy is the record itself
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Record:
+        return self
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -69,6 +75,8 @@ class Fraction(Record):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1) -> None:
+        if type(num) is not int or type(den) is not int:  # not isinstance: True is an int
+            raise ChebknotError(f"fraction needs an int numerator and denominator, not {num!r}/{den!r}")
         if den == 0:
             raise ChebknotError("fraction with zero denominator")
         if num < 0:
@@ -111,14 +119,8 @@ class Fraction(Record):
     def __lt__(self, other: "Fraction | int") -> bool:
         return self._cmp(other) < 0
 
-    def __le__(self, other: "Fraction | int") -> bool:
-        return self._cmp(other) <= 0
-
     def __gt__(self, other: "Fraction | int") -> bool:
         return self._cmp(other) > 0
-
-    def __ge__(self, other: "Fraction | int") -> bool:
-        return self._cmp(other) >= 0
 
     # -- structure -------------------------------------------------------
     @property
@@ -132,9 +134,6 @@ class Fraction(Record):
 
     def __abs__(self) -> "Fraction":
         return Fraction(self.num, abs(self.den))
-
-    def __float__(self) -> float:
-        return self.num / self.den
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -326,9 +325,6 @@ class PMWord(Record):
             raise ChebknotError(f"invalid word letters: {letters!r}")
         object.__setattr__(self, "letters", letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     @property
     def degP(self) -> int:
         return self.letters.count("P")
@@ -502,6 +498,8 @@ def palindromy_report(r: Fraction) -> PalindromyReport:
 
 def fibonacci(n: int) -> int:
     """F_0 = 0, F_1 = 1, F_{n+1} = F_n + F_{n-1}."""
+    if type(n) is not int:
+        raise ChebknotError(f"Fibonacci index {n!r} is not an int")
     if n < 0:
         raise ChebknotError("negative Fibonacci index")
     a, b = 0, 1

@@ -62,19 +62,9 @@ class GaussSequence(Record):
             raise ChebknotError("event signs must all be +1 or -1")
 
     @property
-    def ms(self) -> tuple[int, ...]:
-        """The event ms, increasing; each read derives all 2(b - 1) events, in O(b)."""
-        return tuple(_a3_events(self.b))
-
-    @property
-    def parameters(self) -> tuple[float, ...]:
-        """cos(m*pi/3b) of each event m; each read derives all 2(b - 1) events, in O(b)."""
-        return tuple(_parameters(_a3_events(self.b), 3 * self.b))
-
-    @property
     def events(self) -> tuple[tuple[float, int], ...]:
         """(parameter, sign) of each event; each read derives all 2(b - 1) events, in O(b)."""
-        return tuple(zip(self.parameters, self.signs))
+        return tuple(zip(_parameters(_a3_events(self.b), 3 * self.b), self.signs))
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -164,7 +154,7 @@ class HeightPolynomial(Record):
             object.__setattr__(height, name, value)
         return height
 
-    def __reduce__(self) -> tuple:  # a gap height rebuilds from its gaps, leaving its roots unread
+    def __reduce__(self) -> tuple:  # pickle rebuilds a gap height from its gaps, leaving its roots unread
         if self.gaps is None:
             return type(self), (self.roots, self.leading_sign)
         return self._of_gaps, (self.leading_sign, self.b, self.gaps)

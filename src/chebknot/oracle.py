@@ -60,7 +60,6 @@ class MeasuredCrossing(NamedTuple):
     t: float
     s: float
     zdiff_sign: int
-    xy_sign: int
     d_sign: int
     conway_sign: int
     separation: float
@@ -119,7 +118,7 @@ def measure_crossings(a: int, b: int, z: Callable[[float], float]) -> CurveSampl
     for i, row in enumerate(enumerate_crossings(a, b)):
         zdiff, margin = height.decide_crossing(a, b, row)
         d = zdiff * row.xy_sign
-        measured.append(MeasuredCrossing(row.h, row.k, row.t, row.s, zdiff, row.xy_sign, d, twist_sign(i, d), margin))
+        measured.append(MeasuredCrossing(row.h, row.k, row.t, row.s, zdiff, d, twist_sign(i, d), margin))
     return CurveSample(a, b, height.label(), tuple(measured))
 
 

@@ -19,7 +19,7 @@ from chebknot.bridge import (
     twist_fraction,
 )
 from chebknot.contfrac import Fraction, crossing_number, fibonacci
-from chebknot.errors import AlphaNonPositive, IndexOutOfRange, NotCoprime
+from chebknot.errors import AlphaNonPositive, ChebknotError, IndexOutOfRange, NotCoprime
 
 
 def test_canonicalize_identifies_inverse_residues():
@@ -131,6 +131,44 @@ def test_family_dispatcher_and_ranges():
     for index in (2.5, 3.0, True):  # True would answer 3/1
         with pytest.raises(IndexOutOfRange):
             FamilySpec("torus", index)
+
+
+_REFUSALS = [
+    # a float or a bool is refused by an existing error class, with its repr named
+    (Fraction, (9.0, 2), ChebknotError, "fraction needs an int numerator and denominator, not 9.0/2"),
+    (Fraction, (9, 2.0), ChebknotError, "fraction needs an int numerator and denominator, not 9/2.0"),
+    (Fraction, (True, 1), ChebknotError, "fraction needs an int numerator and denominator, not True/1"),
+    (Fraction, (3, True), ChebknotError, "fraction needs an int numerator and denominator, not 3/True"),
+    (canonicalize, (7.0, 2), AlphaNonPositive, "alpha must be an int, got 7.0"),
+    (canonicalize, (True, 1), AlphaNonPositive, "alpha must be an int, got True"),
+    (canonicalize, (7, 2.0), NotCoprime, "beta must be an int, got 2.0"),
+    (canonicalize, (7, True), NotCoprime, "beta must be an int, got True"),
+    (canonicalize, (0, 2.5), AlphaNonPositive, "alpha must be positive, got 0"),  # alpha is checked first
+    (fibonacci, (5.0,), ChebknotError, "Fibonacci index 5.0 is not an int"),
+    (fibonacci, (True,), ChebknotError, "Fibonacci index True is not an int"),
+    *((f, (index,), IndexOutOfRange, f"family index {index!r} is not an int")
+      for f in (torus_fraction, twist_fraction, stevedore_fraction, fibonacci_fraction, kn_fraction)
+      for index in (2.5, 5.0, True)),
+    # int inputs keep their class and message
+    (Fraction, (1, 0), ChebknotError, "fraction with zero denominator"),
+    (canonicalize, (0, 1), AlphaNonPositive, "alpha must be positive, got 0"),
+    (canonicalize, (6, 4), NotCoprime, "gcd(6, 4) != 1"),
+    (canonicalize, (1, 1), NotCoprime, "beta = 1 is a multiple of alpha = 1"),
+    (fibonacci, (-1,), ChebknotError, "negative Fibonacci index"),
+    (torus_fraction, (0,), IndexOutOfRange, "torus index must be >= 1"),
+    (twist_fraction, (0,), IndexOutOfRange, "twist index must be >= 1"),
+    (stevedore_fraction, (0,), IndexOutOfRange, "stevedore index must be >= 1"),
+    (fibonacci_fraction, (2,), IndexOutOfRange, "fibonacci index must be >= 3"),
+    (kn_fraction, (1,), IndexOutOfRange, "kn index must be > 1"),
+]
+
+
+@pytest.mark.parametrize("call, args, error, message", _REFUSALS,
+                         ids=[f"{call.__name__}{args}" for call, args, *_ in _REFUSALS])
+def test_non_int_inputs_are_refused(call, args, error, message):
+    with pytest.raises(ChebknotError) as caught:
+        call(*args)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_family_crossing_numbers():

@@ -18,7 +18,7 @@ from test_heights import _random_one_regular
 from chebknot import oracle
 from chebknot.bridge import Equivalence, canonicalize, equivalent
 from chebknot.contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
-from chebknot.diagram import PARAMETER_ERROR, ConwayForm, enumerate_crossings, twist_sign
+from chebknot.diagram import PARAMETER_ERROR, ConwayForm, _a3_events, enumerate_crossings, twist_sign
 from chebknot.errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
 from chebknot.harmonic import (
     classify,
@@ -401,7 +401,7 @@ def test_slice_twist_signs_equal_the_row_loop(b, seed):
     g = gauss_sequence(form)
     height = build_height(g)
     assert _twist_signs(height) == _reference_twist_signs(height) == list(form.signs)
-    moved = _moved_root(height, g, rng.randrange(height.degree), rng.choice((1, -1)))
+    moved = _moved_root(height, rng.randrange(height.degree), rng.choice((1, -1)))
     if moved is not None:
         assert _refusal(_twist_signs, moved) == _refusal(_reference_twist_signs, moved)
 
@@ -434,12 +434,12 @@ def _with_height(p: Parametrization, height: HeightPolynomial) -> Parametrizatio
     return Parametrization(p.b, height, p.crossing_number, p.form, p.mirrored)
 
 
-def _moved_root(height: HeightPolynomial, g, j: int, step: int) -> HeightPolynomial | None:
-    """height, built from g, with root j moved into the neighbouring gap,
-    one event up (step = 1) or down (step = -1); None when no gap lies
-    there.  Moved into the gap of another root, it cancels that root, as
-    (t - r)^2 has no sign change, and both go: a height's gaps are distinct."""
-    gaps, ms = list(height.gaps), g.ms  # each read derives every event
+def _moved_root(height: HeightPolynomial, j: int, step: int) -> HeightPolynomial | None:
+    """height with root j moved into the neighbouring gap, one event up
+    (step = 1) or down (step = -1); None when no gap lies there.  Moved
+    into the gap of another root, it cancels that root, as (t - r)^2 has
+    no sign change, and both go: a height's gaps are distinct."""
+    gaps, ms = list(height.gaps), list(_a3_events(height.b))
     i = ms.index(gaps[j]) + step
     if not 0 <= i <= len(ms) - 2:  # the last gap an event opens
         return None
@@ -453,10 +453,9 @@ def test_a_root_moved_to_a_neighbouring_gap_is_refused():
     planted = 0
     for r in _census_to(9):
         p = parametrization(r)
-        g = gauss_sequence(p.form)
         for j in range(p.height.degree):
             for step in (1, -1):
-                height = _moved_root(p.height, g, j, step)
+                height = _moved_root(p.height, j, step)
                 if height is None:
                     continue
                 # exactly one event changes sign, so its crossing has strands of one sign
@@ -516,6 +515,13 @@ def test_copies_of_a_gap_height_rebuild_from_its_gaps(r):
             HeightPolynomial.roots.__get__(height)
     for clone in clones:
         assert clone == p.height and verify_parametrization(r, _with_height(p, clone)) is True
+
+
+@pytest.mark.parametrize("r", [Fraction(9, 2), Fraction(2001, 1)], ids=str)
+def test_a_copy_of_a_gap_height_is_the_height_itself(r):
+    # every Record is immutable, so copying one rebuilds nothing
+    h = parametrization(r).height
+    assert copy.copy(h) is h and copy.deepcopy(h) is h
 
 
 def test_a_gap_height_off_its_own_diagram_takes_the_float_rule():

@@ -17,7 +17,7 @@ def _render_quadratic(
     scans every parameter, and every sample tests every window."""
     b = form.b
     g = gauss_sequence(form)
-    params = sorted(g.parameters)
+    params = sorted(p for p, _ in g.events)
     under = [p for p, s in g.events if s < 0]
 
     def gap_halfwidth(u: float) -> float:
