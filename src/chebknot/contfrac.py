@@ -237,34 +237,64 @@ def crossing_number(r: Fraction) -> int:
     return sum(classical_expansion(r).quotients)
 
 
+def _regular_terms(a: int, b: int, s: int) -> tuple[list[int], int]:
+    """The one-regular expansion of a/b > 0 times s = +-1, and the sum N of
+    the classical quotients of a/b: one term list built by runs, one count."""
+    out: list[int] = []
+    steps = 0  # one per subtraction of Euclid's algorithm, so N = steps + 1
+    while a != b:
+        if a > 2 * b:  # k P steps, each followed by an M step
+            k = (a - 1) // (2 * b)
+            out += (s, s, -s, -s, -s, s) * (k // 2)
+            if k % 2:
+                out += (s, s, -s)
+                s = -s
+            a -= 2 * b * k
+            steps += 2 * k
+        elif b > 2 * a:  # k M steps, each followed by a P step
+            k = (b - 1) // (2 * a)
+            out += (s, -s, -s, -s, s, s) * (k // 2)
+            if k % 2:
+                out += (s, -s, -s)
+                s = -s
+            b -= 2 * a * k
+            steps += 2 * k
+        elif a > b:
+            out.append(s)
+            a, b = b, a - b
+            steps += 1
+        else:
+            out += (s, -s)
+            s = -s
+            a, b = b - a, a
+            steps += 1
+    out.append(s)
+    return out, steps + 1
+
+
 def regular_expansion(r: Fraction) -> RegularCF:
     """The unique one-regular +-1 expansion of a positive rational.
 
-    Iterative height descent: a P step prepends +1 while (a, b) becomes
-    (b, a-b); an M step prepends +1, -1 and negates the remaining tail,
-    tracked here by the running sign s.
+    Height descent on (a, b) = (num, den) with a running sign s: a P step
+    (a > b) appends s and makes (a, b) into (b, a - b); an M step appends
+    s, -s, flips s and makes (a, b) into (b - a, a).  While a > 2b a P
+    step is always followed by an M step, and the pair appends s, s, -s,
+    flips s and subtracts 2b from a, so the k = (a - 1) // 2b pairs of a
+    run are one repetition of the period-two block s, s, -s, -s, -s, s and
+    at most one odd pair; runs of M-P pairs while b > 2a are the mirror
+    image.  The walk is O(number of classical quotients) Python steps.
     """
     if not r.is_positive:
         raise NonPositiveInput(f"{r} is not a positive fraction")
-    a, b = r.num, r.den
-    out: list[int] = []
-    s = 1
-    while not (a == 1 and b == 1):
-        if a > b:
-            out.append(s)
-            a, b = b, a - b
-        else:
-            out.append(s)
-            out.append(-s)
-            s = -s
-            a, b = b - a, a
-    out.append(s)
-    return RegularCF(tuple(out))
+    return RegularCF(_regular_terms(r.num, r.den, 1)[0])
 
 
 def expansion_length(r: Fraction) -> int:
     """Length of the one-regular expansion; invariant under mirroring."""
-    return len(regular_expansion(abs(r)))
+    r = abs(r)
+    if not r.is_positive:
+        raise NonPositiveInput(f"{r} is not a positive fraction")
+    return len(_regular_terms(r.num, r.den, 1)[0])
 
 
 def cn_from_regular(cf: RegularCF) -> int:

@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from itertools import compress
 from math import gcd
-from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .contfrac import Fraction, Record, cn_from_regular, crossing_number, eval_cf, regular_expansion
-from .contfrac import _pgp_inner, _validate_one_regular
+from .contfrac import Fraction, Record, crossing_number, eval_cf
+from .contfrac import _pgp_inner, _regular_terms, _validate_one_regular
 from .errors import (
     ChebknotError,
     InvalidForm,
@@ -207,26 +206,26 @@ def minimal_diagram(r: Fraction) -> MinimalDiagram:
 def _minimal_diagram(r: Fraction) -> tuple[MinimalDiagram, int]:
     """minimal_diagram(r) with the crossing number N of S(r).
 
-    The two expansion lengths add up to 3N - 2, so the conjugate
-    expansion is built only when it is the shorter one.
+    The run walk contfrac._regular_terms gives the own expansion and N;
+    the two expansion lengths add up to 3N - 2, so the conjugate
+    expansion, negated by the walk itself, is built only when it is the
+    shorter one.
     """
     if not (r.is_positive and r > 1):
         raise NotGreaterThanOne(f"{r} is not > 1")
     if r.num % 2 == 0:
         raise IsLink("links have no C(3, b) diagram (b would be divisible by 3)")
-    own = regular_expansion(r)
-    n_cross = cn_from_regular(own)
+    own, n_cross = _regular_terms(r.num, r.den, 1)
     # one length is 0 and the other 1 mod 3 (parity_class), so they never tie
     other = 3 * n_cross - 2 - len(own)
     if len(own) < other:
-        form = ConwayForm(own.terms, len(own) + 1)
-        mirrored = False
+        terms, mirrored = own, False
     else:
-        conj = regular_expansion(Fraction(r.num, r.num - r.den))
-        if len(conj) != other:
+        terms = _regular_terms(r.num, r.num - r.den, -1)[0]  # negated conjugate
+        if len(terms) != other:
             raise ChebknotError(f"expansion lengths of {r} do not add up to 3N - 2")
-        form = ConwayForm(tuple(map(neg, conj.terms)), other + 1)
         mirrored = True
+    form = ConwayForm(terms, len(terms) + 1)  # validates the winner, once
     if not (n_cross < form.b and 2 * form.b < 3 * n_cross):
         raise ChebknotError(f"diagram degree bound violated for {r}")
     return MinimalDiagram(form, form.b, mirrored), n_cross

@@ -63,8 +63,11 @@ class GaussSequence(Record):
 
     @property
     def events(self) -> tuple[tuple[float, int], ...]:
-        """(parameter, sign) of each event; each read derives all 2(b - 1) events, in O(b)."""
-        return tuple(zip(_parameters(_a3_events(self.b), 3 * self.b), self.signs))
+        """(parameter, sign) of each event; each read derives all 2(b - 1) events, in O(b).
+        The events are symmetric, m <-> 3b - m, so by the _parameters rule the
+        last b - 1 parameters are the first b - 1 negated and reversed."""
+        half = _parameters(islice(_a3_events(self.b), self.b - 1), 3 * self.b)
+        return tuple(zip(half + list(map(neg, reversed(half))), self.signs))
 
     def __len__(self) -> int:
         return len(self.signs)

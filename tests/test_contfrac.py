@@ -8,11 +8,14 @@ from itertools import chain, product
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     classical_euclid_oracle,
     coprime_pairs,
     eval_cf_oracle,
+    fractions_with_crossing_number_up_to,
     one_regular_sequences,
 )
 from chebknot.contfrac import (
@@ -20,6 +23,7 @@ from chebknot.contfrac import (
     Mat2,
     PMWord,
     RegularCF,
+    _regular_terms,
     _validate_one_regular,
     classical_expansion,
     cn_from_regular,
@@ -34,6 +38,7 @@ from chebknot.contfrac import (
     regular_expansion,
     word_to_matrix,
 )
+from chebknot.diagram import ConwayForm, MinimalDiagram, _minimal_diagram
 from chebknot.errors import (
     ChebknotError,
     DivisionByZeroTail,
@@ -292,11 +297,91 @@ def test_round_trip_sweep():
 
 
 def test_expansion_handles_million_scale_numerators():
-    # the subtractive descent is iterative, so depth ~ alpha is fine
+    # one run of 250,000 P-M pairs, built by one list repetition
     r = Fraction(10**6 + 1, 2)
     cf = regular_expansion(r)
     assert len(cf) == 750003
     assert eval_cf(cf.terms) == r
+
+
+def _step_loop_expansion(a: int, b: int) -> list[int]:
+    """The one-regular expansion of a/b > 0 by one P or M step per
+    subtraction of Euclid's algorithm: the reference the run walk of
+    contfrac._regular_terms must match."""
+    out: list[int] = []
+    s = 1
+    while not (a == 1 and b == 1):
+        if a > b:
+            out.append(s)
+            a, b = b, a - b
+        else:
+            out.append(s)
+            out.append(-s)
+            s = -s
+            a, b = b - a, a
+    out.append(s)
+    return out
+
+
+def _check_run_walk(alpha: int, beta: int) -> None:
+    """The run walk of alpha/beta against the step loop, crossing_number,
+    cn_from_regular, and its own negation at s = -1."""
+    terms, n = _regular_terms(alpha, beta, 1)
+    assert terms == _step_loop_expansion(alpha, beta), (alpha, beta)
+    if alpha != beta:  # alpha/beta and beta/alpha have one quotient sum
+        assert n == crossing_number(Fraction(max(alpha, beta), min(alpha, beta))), (alpha, beta)
+    else:
+        assert n == 1
+    if alpha > beta:
+        assert n == cn_from_regular(RegularCF(terms)), (alpha, beta)
+    assert _regular_terms(alpha, beta, -1) == ([-t for t in terms], n), (alpha, beta)
+
+
+def test_run_walk_matches_the_step_loop_exhaustively():
+    pairs = 0
+    for alpha in range(1, 300):
+        for beta in range(1, 2 * alpha):
+            if gcd(alpha, beta) == 1:
+                _check_run_walk(alpha, beta)
+                pairs += 1
+    assert pairs > 50_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**12), st.integers(1, 10**12))
+def test_run_walk_matches_the_step_loop_up_to_10_12(alpha, beta):
+    g = gcd(alpha, beta)
+    alpha, beta = alpha // g, beta // g
+    # the step loop takes one Python step per subtraction, and the expansion
+    # has up to 1.5 terms per subtraction: cap N, their number
+    assume(sum(classical_euclid_oracle(alpha, beta)) <= 100_000)
+    _check_run_walk(alpha, beta)
+
+
+def _step_loop_minimal_diagram(alpha: int, beta: int) -> tuple[MinimalDiagram, int]:
+    """The own/conjugate rule on step-loop expansions: the shorter of the
+    expansions of alpha/beta and alpha/(alpha - beta) wins, the conjugate
+    negated and mirrored."""
+    own = _step_loop_expansion(alpha, beta)
+    conj = _step_loop_expansion(alpha, alpha - beta)
+    if len(own) < len(conj):
+        form, mirrored = ConwayForm(own, len(own) + 1), False
+    else:
+        form, mirrored = ConwayForm([-t for t in conj], len(conj) + 1), True
+    return MinimalDiagram(form, form.b, mirrored), crossing_number(Fraction(alpha, beta))
+
+
+def test_minimal_diagram_matches_the_step_loop_rule():
+    knots = [(alpha, beta) for alpha, beta, _ in fractions_with_crossing_number_up_to(12) if alpha % 2]
+    assert len(knots) > 1000
+    for alpha, beta in knots + [(2001, 1)]:
+        assert _minimal_diagram(Fraction(alpha, beta)) == _step_loop_minimal_diagram(alpha, beta), (alpha, beta)
+
+
+def test_expansion_length_refuses_zero():
+    assert expansion_length(Fraction(9, -7)) == expansion_length(Fraction(9, 7)) == 7
+    with pytest.raises(NonPositiveInput, match="0/1 is not a positive fraction"):
+        expansion_length(Fraction(0, 1))
 
 
 def test_cn_from_regular_examples_and_errors():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import bench_inputs, fractions_with_crossing_number_up_to
 from chebknot.bridge import fibonacci_fraction
 from chebknot.contfrac import Fraction, eval_cf, is_amphicheiral
-from chebknot.diagram import ConwayForm, _a3_events, enumerate_crossings, minimal_diagram, twist_sign
+from chebknot.diagram import ConwayForm, _a3_events, _parameters, enumerate_crossings, minimal_diagram, twist_sign
 from chebknot.errors import ChebknotError, IsLink, NotGreaterThanOne
 from chebknot.heights import (
     GaussSequence,
@@ -55,6 +55,17 @@ def test_gauss_events_ordered_by_decreasing_parameter():
     params = [p for p, _ in g.events]
     assert all(params[i] > params[i + 1] for i in range(len(params) - 1))
     assert len(g) == 14
+
+
+def test_half_cosine_events_are_bit_identical_to_every_parameter():
+    """events evaluates the first b - 1 parameters and negates them for
+    the rest; _parameters on all 2(b - 1) events must give the same bits."""
+    for b in range(2, 1500):
+        if b % 3 == 0:
+            continue
+        events = GaussSequence([1] * (2 * (b - 1)), b).events
+        full = _parameters(_a3_events(b), 3 * b)
+        assert list(map(float.hex, (p for p, _ in events))) == list(map(float.hex, full)), b
 
 
 def test_alternating_form_has_2b_minus_3_changes():
