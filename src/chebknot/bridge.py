@@ -35,10 +35,6 @@ class TwoBridgeKnot(Record):
         return self.alpha % 2 == 1
 
     @property
-    def is_link(self) -> bool:
-        return self.alpha % 2 == 0
-
-    @property
     def amphicheiral(self) -> bool:
         return is_amphicheiral(self.alpha, self.beta)
 

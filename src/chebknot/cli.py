@@ -25,7 +25,7 @@ from .diagram import minimal_diagram
 from .errors import ChebknotError, TrivialKnot
 from .harmonic import HarmonicSpec, classify
 from .heights import parametrization
-from .oracle import measure_crossings, recover_knot, reproduces
+from .oracle import measure_crossings, recover_knot, verify_parametrization
 from .svg import render_diagram_svg
 
 
@@ -163,9 +163,8 @@ def _cmd_atlas(args: argparse.Namespace) -> tuple[str, dict]:
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, dict]:
     frac = _knot_fraction(args.fraction)
     p = parametrization(frac)
-    sample = measure_crossings(3, p.b, p.height)
-    recovered = recover_knot(sample)
-    ok = reproduces(frac, recovered)
+    sample = measure_crossings(3, p.b, p.height)  # for the margin and the report, not the verdict
+    ok = verify_parametrization(frac, p)
     text = (
         f"verify {frac}: {'OK' if ok else 'FAILED'}  b={p.b}  deg(z)={p.height.degree}"
         f"  min_margin={sample.min_separation:.3e}"
@@ -175,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, dict]:
     payload = {
         **sample.to_report(),
         "fraction": str(frac),
-        "recovered": recovered.to_json(),
+        "recovered": recover_knot(sample).to_json(),
         "min_separation": sample.min_separation,  # smallest margin, see CurveSample
         "verdict": ok,
     }

@@ -289,14 +289,6 @@ def regular_expansion(r: Fraction) -> RegularCF:
     return RegularCF(_regular_terms(r.num, r.den, 1)[0])
 
 
-def expansion_length(r: Fraction) -> int:
-    """Length of the one-regular expansion; invariant under mirroring."""
-    r = abs(r)
-    if not r.is_positive:
-        raise NonPositiveInput(f"{r} is not a positive fraction")
-    return len(_regular_terms(r.num, r.den, 1)[0])
-
-
 def cn_from_regular(cf: RegularCF) -> int:
     """Crossing number read off a one-regular expansion with leading +1, +1.
 
@@ -334,9 +326,6 @@ class Mat2(Record):
             self.c * other.b + self.d * other.d,
         )
 
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
     def apply(self, x: int, y: int) -> tuple[int, int]:
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
@@ -351,7 +340,7 @@ class PMWord(Record):
     __slots__ = ("letters",)
 
     def __init__(self, letters: str) -> None:
-        if any(ch not in "PM" for ch in letters):
+        if type(letters) is not str or any(ch not in "PM" for ch in letters):
             raise ChebknotError(f"invalid word letters: {letters!r}")
         object.__setattr__(self, "letters", letters)
 

@@ -247,6 +247,8 @@ def conway_reversal_check(f1: ConwayForm, f2: ConwayForm, n_cross: int) -> bool:
     of its word, and m = n - N, so the relating sign collapses to the
     parity of the length alone; n_cross is validated against f1.
     """
+    if type(n_cross) is not int:  # not isinstance: True is an int
+        raise ChebknotError(f"n_cross must be an int, not {n_cross!r}")
     if len(f1.signs) != len(f2.signs):
         raise LengthMismatch("forms have different lengths")
     value = abs(eval_cf(f1.signs))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .bridge import TwoBridgeKnot, canonicalize, equivalent, Equivalence
+from .bridge import TwoBridgeKnot, canonicalize
 from .contfrac import eval_cf_projective, Fraction, Record
 from .diagram import CrossingPoint, enumerate_crossings, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
@@ -131,23 +131,17 @@ def recover_knot(sample: CurveSample) -> TwoBridgeKnot:
     """
     if sample.a != 3:
         raise NotTwoBridge("diagram recovery requires a = 3")
-    return _knot_of_twist_signs(sample.conway_signs)
+    return canonicalize(*_fraction_of_twist_signs(sample.conway_signs))
 
 
-def _knot_of_twist_signs(signs: Sequence[int]) -> TwoBridgeKnot:
+def _fraction_of_twist_signs(signs: Sequence[int]) -> tuple[int, int]:
+    """The coprime pair (p, q), p > 0, that the signs evaluate to; the unknot is refused."""
     p, q = eval_cf_projective(signs)
     if q == 0 or abs(p) <= 1:
         raise TrivialKnot(
             f"measured signs evaluate to the degenerate point ({p}, {q}): the unknot"
         )
-    frac = Fraction(p, q)
-    return canonicalize(frac.num, frac.den)
-
-
-def reproduces(r: Fraction, recovered: TwoBridgeKnot) -> bool:
-    """True when a recovered knot is S(r) itself, not merely its mirror."""
-    expected = canonicalize(r.num, r.den)
-    return equivalent(recovered, expected) is Equivalence.SAME
+    return (p, q) if p > 0 else (-p, -q)
 
 
 def verify_parametrization(r: Fraction, p: Parametrization) -> bool:
@@ -155,10 +149,14 @@ def verify_parametrization(r: Fraction, p: Parametrization) -> bool:
 
     The diagram emitted for r represents S(r) itself even when the
     mirrored flag is set (the negated conjugate expansion evaluates to an
-    equivalent fraction), so the recovered knot must compare as the same.
-    Only the twist signs are measured: by slices for a height with gaps on
-    its own diagram, else as the conway_signs of measure_crossings.
+    equivalent fraction), so the measured fraction alpha/q must be the same
+    knot as r: alpha = r.num and q = r.den or q * r.den = 1 mod alpha
+    (Schubert).  An amphicheiral knot needs no third case: there the mirror
+    residues -r.den and -r.den^-1 are r.den^-1 and r.den.  Only the twist
+    signs are measured: by slices for a height with gaps on its own
+    diagram, else as the conway_signs of measure_crossings.
     """
     h = p.height
     signs = _twist_signs(h) if h.b == p.b else measure_crossings(3, p.b, h).conway_signs
-    return reproduces(r, _knot_of_twist_signs(signs))
+    alpha, q = _fraction_of_twist_signs(signs)
+    return alpha == r.num and ((q - r.den) % alpha == 0 or (q * r.den - 1) % alpha == 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .diagram import ConwayForm
+from .errors import InvalidForm
 from .heights import gauss_sequence
 from .trig import chebyshev
 
@@ -14,6 +15,8 @@ SAMPLES_PER_LOBE = 64  # polyline points per unit of b
 def render_diagram_svg(form: ConwayForm) -> str:
     """Polyline approximation of (T_3(t), T_b(t)) with the under-strand
     broken around each undercrossing parameter."""
+    if not isinstance(form, ConwayForm):
+        raise InvalidForm(f"need a ConwayForm, not {form!r}")
     b = form.b
     events = gauss_sequence(form).events[::-1]  # 2(b-1) >= 2 distinct parameters, increasing
 

@@ -94,7 +94,7 @@ def test_amphicheiral_iff_beta_squared_is_minus_one():
 
 def test_knot_vs_link_parity():
     assert canonicalize(9, 2).is_knot
-    assert canonicalize(4, 1).is_link
+    assert not canonicalize(4, 1).is_knot
 
 
 def test_json_record_schema():

@@ -30,7 +30,6 @@ from chebknot.contfrac import (
     conjugate_fractions,
     crossing_number,
     eval_cf,
-    expansion_length,
     fibonacci,
     palindromy_report,
     parity_class,
@@ -379,9 +378,9 @@ def test_minimal_diagram_matches_the_step_loop_rule():
 
 
 def test_expansion_length_refuses_zero():
-    assert expansion_length(Fraction(9, -7)) == expansion_length(Fraction(9, 7)) == 7
+    assert len(regular_expansion(abs(Fraction(9, -7)))) == len(regular_expansion(Fraction(9, 7))) == 7
     with pytest.raises(NonPositiveInput, match="0/1 is not a positive fraction"):
-        expansion_length(Fraction(0, 1))
+        regular_expansion(abs(Fraction(0, 1)))
 
 
 def test_cn_from_regular_examples_and_errors():
@@ -419,6 +418,13 @@ def test_pm_word_worked_examples():
     assert pm_word(regular_expansion(Fraction(9, 7))).letters == "PPMPPP"
     assert pm_word(regular_expansion(Fraction(9, 2))).letters == "PMPMMP"
     assert pm_word(regular_expansion(Fraction(1, 1))).letters == "P"
+
+
+def test_pm_word_refuses_letters_that_are_not_a_string():
+    # a list of letters would make an unhashable record, an int no word at all
+    for letters in (["P"], ("P", "M"), 123, None):
+        with pytest.raises(ChebknotError, match="invalid word letters"):
+            PMWord(letters)
 
 
 def test_pm_word_rejects_negated_expansions():
@@ -468,7 +474,7 @@ def test_matrix_determinant_law():
     for _ in range(200):
         letters = "".join(rng.choice("PM") for _ in range(rng.randint(0, 10)))
         m = word_to_matrix(PMWord(letters))
-        assert m.det() == (-1) ** len(letters)
+        assert m.a * m.d - m.b * m.c == (-1) ** len(letters)
         assert min(m.a, m.b, m.c, m.d) >= 0
 
 
@@ -513,15 +519,15 @@ def test_conjugate_fractions_worked_example():
     assert conj.alpha_over_alpha_minus_beta == Fraction(9, 2)
     # beta * beta' = (-1)^(N-1) mod alpha with N = 6: 7 * 5 = 35 = -1 mod 9
     assert conj.alpha_over_beta_prime == Fraction(9, 5)
-    assert expansion_length(conj.alpha_over_beta_prime) == 7
+    assert len(regular_expansion(conj.alpha_over_beta_prime)) == 7
 
 
 def test_conjugate_lengths_worked_examples():
-    assert expansion_length(Fraction(9, 7)) == 7
-    assert expansion_length(Fraction(9, 2)) == 9
-    assert expansion_length(Fraction(9, 7)) + expansion_length(Fraction(9, 2)) == 16
-    assert expansion_length(Fraction(1, 2)) == 3
-    assert expansion_length(Fraction(2, 1)) == 2
+    assert len(regular_expansion(Fraction(9, 7))) == 7
+    assert len(regular_expansion(Fraction(9, 2))) == 9
+    assert len(regular_expansion(Fraction(9, 7))) + len(regular_expansion(Fraction(9, 2))) == 16
+    assert len(regular_expansion(Fraction(1, 2))) == 3
+    assert len(regular_expansion(Fraction(2, 1))) == 2
     conj = conjugate_fractions(Fraction(2, 1))
     assert conj.beta_over_alpha == Fraction(1, 2)
 
@@ -549,10 +555,10 @@ def test_conjugate_identities_sweep():
         want = 1 if n_cross % 2 == 1 else alpha - 1
         assert (beta * bp.den) % alpha == want % alpha
         # length identities
-        l_r = expansion_length(r)
-        assert expansion_length(Fraction(beta, alpha)) + l_r == 3 * n_cross - 1
-        assert expansion_length(Fraction(alpha, alpha - beta)) + l_r == 3 * n_cross - 2
-        assert expansion_length(bp) == l_r
+        l_r = len(regular_expansion(r))
+        assert len(regular_expansion(Fraction(beta, alpha))) + l_r == 3 * n_cross - 1
+        assert len(regular_expansion(Fraction(alpha, alpha - beta))) + l_r == 3 * n_cross - 2
+        assert len(regular_expansion(bp)) == l_r
 
 
 def test_reversal_law():

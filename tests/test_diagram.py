@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import classical_euclid_oracle, fractions_with_crossing_number_up_to
 from chebknot import diagram
 from chebknot.bridge import canonicalize, stevedore_fraction, torus_fraction, twist_fraction
-from chebknot.contfrac import Fraction, eval_cf, expansion_length, regular_expansion
+from chebknot.contfrac import Fraction, eval_cf, regular_expansion
 from chebknot.diagram import (
     ConwayForm,
     CrossingPoint,
@@ -388,7 +388,7 @@ def test_minimal_diagram_bounds_and_knot_class():
         r = Fraction(alpha, beta)
         md = minimal_diagram(r)
         assert n_cross < md.b and 2 * md.b < 3 * n_cross
-        assert md.b == min(expansion_length(r), expansion_length(Fraction(alpha, alpha - beta))) + 1
+        assert md.b == min(len(regular_expansion(r)), len(regular_expansion(Fraction(alpha, alpha - beta)))) + 1
         # the emitted form evaluates to a fraction of the same knot
         value = eval_cf(md.form.signs)
         assert canonicalize(value.num, value.den) == canonicalize(alpha, beta)
@@ -402,7 +402,7 @@ def test_expansion_lengths_add_up_to_3n_minus_2():
                 continue
             n_cross = sum(classical_euclid_oracle(alpha, beta))
             own, conj = Fraction(alpha, beta), Fraction(alpha, alpha - beta)
-            assert expansion_length(own) + expansion_length(conj) == 3 * n_cross - 2, (alpha, beta)
+            assert len(regular_expansion(own)) + len(regular_expansion(conj)) == 3 * n_cross - 2, (alpha, beta)
 
 
 def test_word_criterion_worked_examples():
@@ -416,7 +416,7 @@ def test_word_criterion_worked_examples():
 def test_word_criterion_matches_length_comparison():
     for alpha, beta, n_cross in fractions_with_crossing_number_up_to(10):
         r = Fraction(alpha, beta)
-        n = expansion_length(r)
+        n = len(regular_expansion(r))
         assert is_minimal_by_word(r) == (2 * n < 3 * n_cross - 2)
 
 
@@ -453,6 +453,13 @@ def test_reversal_check_distinct_knots_and_mismatch():
     short = ConwayForm(regular_expansion(Fraction(3, 2)).terms, 4)
     with pytest.raises(LengthMismatch):
         conway_reversal_check(f, short, 6)
+
+
+def test_reversal_check_refuses_a_crossing_number_that_is_not_an_int():
+    f = minimal_diagram(Fraction(9, 7)).form
+    for n_cross in (6.0, True, "6"):
+        with pytest.raises(ChebknotError, match="n_cross must be an int"):
+            conway_reversal_check(f, f, n_cross)
 
 
 def test_reversal_check_sweep():

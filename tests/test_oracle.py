@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
 import pickle
 import random
 from bisect import bisect_left
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import bench_inputs, fractions_with_crossing_number_up_to
 from test_heights import _random_one_regular
-from chebknot import oracle
+from chebknot import cli, oracle
 from chebknot.bridge import Equivalence, canonicalize, equivalent
 from chebknot.contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
 from chebknot.diagram import PARAMETER_ERROR, ConwayForm, _a3_events, enumerate_crossings, twist_sign
@@ -38,7 +40,6 @@ from chebknot.oracle import (
     ChebyshevHeight,
     measure_crossings,
     recover_knot,
-    reproduces,
     verify_parametrization,
 )
 from chebknot.trig import chebyshev
@@ -191,11 +192,52 @@ def test_verify_sweep_small():
         assert verify_parametrization(r, parametrization(r))
 
 
-def test_reproduces_tells_a_knot_from_its_mirror():
-    r = Fraction(3, 1)
-    assert reproduces(r, canonicalize(3, 1))
-    assert reproduces(r, canonicalize(3, -2))  # 3/-2 is 3/1: beta' = beta mod alpha
-    assert not reproduces(r, canonicalize(3, -1))
+def test_verify_parametrization_tells_a_knot_from_its_mirror():
+    trefoil = parametrization(Fraction(3, 1))
+    assert verify_parametrization(Fraction(3, 1), trefoil) is True
+    assert verify_parametrization(Fraction(3, -2), trefoil) is True  # 3/-2 is 3/1: beta' = beta mod alpha
+    assert verify_parametrization(Fraction(3, -1), trefoil) is False
+    # 13/5 is amphicheiral (5^2 = -1 mod 13); 9/2 is chiral and its diagram is mirrored
+    assert verify_parametrization(Fraction(13, -5), parametrization(Fraction(13, 5))) is True
+    assert parametrization(Fraction(9, 2)).mirrored
+    assert verify_parametrization(Fraction(9, -2), parametrization(Fraction(9, 2))) is False
+
+
+def test_same_knot_congruences_match_the_canonical_forms(monkeypatch):
+    """verify_parametrization decides "same knot" by two congruences mod
+    alpha; canonicalize and equivalent are the reference.  The measured
+    pair (p, q) is fed in through eval_cf_projective, p of either sign."""
+    measured = []
+    monkeypatch.setattr(oracle, "_twist_signs", lambda height: [])
+    monkeypatch.setattr(oracle, "eval_cf_projective", lambda signs: measured[0])
+    curve = SimpleNamespace(b=5, height=SimpleNamespace(b=5))
+    cases = 0
+    for alpha in range(2, 50):
+        residues = [q for q in range(-2 * alpha + 1, 2 * alpha) if gcd(alpha, q) == 1]
+        for beta in residues:
+            r, expected = Fraction(alpha, beta), canonicalize(alpha, beta)
+            for q in residues:
+                for p in (alpha, -alpha):
+                    measured[:] = [(p, q)]
+                    reference = equivalent(canonicalize(alpha, q if p > 0 else -q), expected)
+                    assert verify_parametrization(r, curve) is (reference is Equivalence.SAME), (r, p, q)
+                    cases += 1
+    assert cases == 575_264
+    measured[:] = [(9, 1)]
+    assert verify_parametrization(Fraction(3, 1), curve) is False  # 9/1 is not 3/1, though 1 = 1 mod 3
+
+
+def test_cli_verdict_is_verify_parametrization(capsys, monkeypatch):
+    def verdict(text):
+        assert cli.main(["verify", text, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["verdict"]
+
+    census = [(alpha, beta) for alpha, beta, _ in fractions_with_crossing_number_up_to(12) if alpha % 2]
+    for alpha, beta in census[::17]:
+        r = Fraction(alpha, beta)
+        assert verdict(str(r)) is verify_parametrization(r, parametrization(r)) is True, r
+    monkeypatch.setattr(cli, "verify_parametrization", lambda r, p: False)
+    assert verdict("9/2") is False
 
 
 def test_measured_unknot_is_trivial_knot():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import fractions_with_crossing_number_up_to
 from chebknot.contfrac import Fraction
 from chebknot.diagram import ConwayForm, minimal_diagram
+from chebknot.errors import InvalidForm
 from chebknot.heights import gauss_sequence
 from chebknot.svg import render_diagram_svg
 from chebknot.trig import chebyshev
@@ -77,3 +80,9 @@ def test_svg_matches_quadratic_renderer_for_torus_b_301():
     form = minimal_diagram(Fraction(201, 1)).form
     assert form.b == 301
     assert render_diagram_svg(form) == _render_quadratic(form)
+
+
+def test_render_refuses_what_is_not_a_conway_form():
+    for form in (None, minimal_diagram(Fraction(9, 2)), (1, 1, 1)):
+        with pytest.raises(InvalidForm, match="need a ConwayForm"):
+            render_diagram_svg(form)
