@@ -186,6 +186,8 @@ class ClassicalCF(Record):
         object.__setattr__(self, "quotients", tuple(quotients))
         if not self.quotients:
             raise EmptySequence("empty quotient sequence")
+        if any(type(q) is not int for q in self.quotients):  # not isinstance: True is an int
+            raise ChebknotError(f"classical quotients must be ints, not {self.quotients!r}")
         if any(q <= 0 for q in self.quotients):
             raise ZeroQuotient("classical quotients must be positive")
 
@@ -313,6 +315,8 @@ class Mat2(Record):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        if any(type(v) is not int for v in (a, b, c, d)):  # not isinstance: True is an int
+            raise ChebknotError(f"matrix entries must be ints, not {(a, b, c, d)!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

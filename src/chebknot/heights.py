@@ -15,34 +15,12 @@ import math
 from bisect import bisect_left
 from itertools import compress, count, islice, repeat
 from operator import ne, neg
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from .contfrac import Fraction, Record, _all_plus_or_minus_one, is_amphicheiral
 from .diagram import PARAMETER_ERROR, ConwayForm, CrossingPoint, _minimal_diagram, _parameters
 from .diagram import _a3_crossing, _a3_events, _a3_families, _a3_next_event
 from .errors import AmbiguousCrossing, ChebknotError, IsLink
-
-# Smallest |z(t) - z(s)| the float rule accepts.
-SEPARATION_FLOOR = 1e-9
-
-
-class FloatHeight(NamedTuple):
-    """Any callable height, decided in floating point behind SEPARATION_FLOOR."""
-
-    z: Callable[[float], float]
-
-    def label(self) -> str:
-        return getattr(self.z, "__name__", "z")
-
-    def decide_crossing(self, a: int, b: int, row: CrossingPoint) -> tuple[int, float]:
-        """Sign of z(t) - z(s), with |z(t) - z(s)| as its margin."""
-        zt, zs = self.z(row.t), self.z(row.s)
-        separation = abs(zt - zs)
-        if not separation >= SEPARATION_FLOOR:  # NaN fails too
-            raise AmbiguousCrossing(f"|z(t)-z(s)| = {separation:.3e} below floor {SEPARATION_FLOOR:.3e} "
-                                    f"at crossing {(row.h, row.k)}")
-        return (1 if zt > zs else -1), separation
-
 
 class GaussSequence(Record):
     """Over/under signs (+1 over, -1 under) of the diagram C(3, b) at its
@@ -194,7 +172,9 @@ class HeightPolynomial(Record):
         at row.m_t and row.m_s, and refuses strands of one sign.  Otherwise
         it counts its float roots, which holds at the true crossing parameter
         too unless a root lies within PARAMETER_ERROR of p; strands of
-        opposite signs are ordered by z(t), strands of one sign by the float rule."""
+        opposite signs are ordered by z(t), and strands of one sign by exact
+        enclosures of |z(t)| and |z(s)|, refused where they overlap, with
+        |z(t) - z(s)| in floats as the margin."""
         roots, n, t, s = self.roots, len(self.roots), row.t, row.s
         exact = b == self.b and a == 3  # b is None exactly when gaps is
         if exact:  # roots below t and below s
@@ -207,11 +187,21 @@ class HeightPolynomial(Record):
         )
         if not exact and margin <= PARAMETER_ERROR:
             raise AmbiguousCrossing(f"a root of z lies within {margin:.1e} of t or s at crossing {(row.h, row.k)}")
-        if (i - j) % 2 == 0:
-            if exact:
-                raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(row.h, row.k)}")
-            return FloatHeight(self).decide_crossing(a, b, row)
-        return (self.leading_sign if (n - i) % 2 == 0 else -self.leading_sign), margin
+        sign = self.leading_sign if (n - i) % 2 == 0 else -self.leading_sign  # z's sign at t
+        if (i - j) % 2:
+            return sign, margin
+        if exact:
+            raise AmbiguousCrossing(f"both strands of z have one sign at crossing {(row.h, row.k)}")
+        # floats are exact dyadics: over their largest denominator they are integers.  Each true
+        # parameter p lies within e = PARAMETER_ERROR of its float p~ and no root that near, so
+        # |p - r| lies in [|p~ - r| - e, |p~ - r| + e], an interval of positive integers
+        ratios = [x.as_integer_ratio() for x in (PARAMETER_ERROR, t, s, *roots)]
+        den = max(d for _, d in ratios)
+        e, pt, ps, *rs = [num * (den // d) for num, d in ratios]
+        low_t, high_t, low_s, high_s = (math.prod(abs(p - r) + pm * e for r in rs) for p in (pt, ps) for pm in (-1, 1))
+        if high_t < low_s or high_s < low_t:
+            return (sign if high_s < low_t else -sign), abs(self(t) - self(s))
+        raise AmbiguousCrossing(f"|z(t)| and |z(s)| overlap within their error bounds at crossing {(row.h, row.k)}")
 
     @property
     def is_odd_symmetric(self) -> bool:

@@ -1,24 +1,25 @@
 """Numeric ground truth for explicit parametrized curves.
 
-Given any height function z over the diagram x = T_a(t), y = T_b(t), this
+Given a height z over the diagram x = T_a(t), y = T_b(t), this
 module decides every crossing from the closed-form parameter pairs: no
 root finding, no intersection search.  Each height type decides its own
 crossings: Chebyshev heights by exact integer trigonometry, constructed
-height polynomials by reading their root gaps in integers, other height
-polynomials by counting their float roots above each parameter, and any
-other callable in floating point behind a separation floor.
+height polynomials by reading their root gaps in integers, and other
+height polynomials by counting their float roots above each parameter
+and, where both strands have one sign, comparing exact enclosures of |z|.
+Every decision is exact or refused, and a bare callable is refused.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bridge import TwoBridgeKnot, canonicalize
 from .contfrac import eval_cf_projective, Fraction, Record
 from .diagram import CrossingPoint, enumerate_crossings, twist_sign
 from .errors import AmbiguousCrossing, ChebknotError, NotTwoBridge, TrivialKnot
-from .heights import FloatHeight, Parametrization, _twist_signs
+from .heights import HeightPolynomial, Parametrization, _twist_signs
 from .trig import chebyshev, sin_sign
 
 
@@ -93,8 +94,8 @@ class CurveSample(Record):
     @property
     def min_separation(self) -> float:
         """Smallest margin: for a HeightPolynomial the distance from a crossing
-        parameter to the nearest root (|z(t) - z(s)| where both strands have one
-        sign); otherwise |z(t) - z(s)|, in floats or, for T_c, by a sine identity."""
+        parameter to the nearest root (|z(t) - z(s)| in floats where both strands
+        have one sign); for T_c, |T_c(t) - T_c(s)| by a sine identity."""
         return min(c.separation for c in self.crossings)
 
     def to_report(self) -> dict:
@@ -106,20 +107,22 @@ class CurveSample(Record):
         }
 
 
-def measure_crossings(a: int, b: int, z: Callable[[float], float]) -> CurveSample:
+def measure_crossings(a: int, b: int, z: HeightPolynomial | ChebyshevHeight) -> CurveSample:
     """Measure every crossing of (T_a(t), T_b(t), z(t)).
 
     The crossing with the i-th largest x gets the twist sign
     (-1)^(i+1) * sign(D) with D = (z(t) - z(s)) x'(t) y'(t).  The sign of
-    z(t) - z(s) comes from the height's own decide_crossing(a, b, row).
+    z(t) - z(s) comes from the height's own decide_crossing(a, b, row);
+    anything without one is refused.
     """
-    height = z if hasattr(z, "decide_crossing") else FloatHeight(z)
+    if not hasattr(z, "decide_crossing"):
+        raise ChebknotError(f"a height must decide its own crossings, and {type(z).__name__} does not")
     measured = []
     for i, row in enumerate(enumerate_crossings(a, b)):
-        zdiff, margin = height.decide_crossing(a, b, row)
+        zdiff, margin = z.decide_crossing(a, b, row)
         d = zdiff * row.xy_sign
         measured.append(MeasuredCrossing(row.h, row.k, row.t, row.s, zdiff, d, twist_sign(i, d), margin))
-    return CurveSample(a, b, height.label(), tuple(measured))
+    return CurveSample(a, b, z.label(), tuple(measured))
 
 
 def recover_knot(sample: CurveSample) -> TwoBridgeKnot:
@@ -156,6 +159,8 @@ def verify_parametrization(r: Fraction, p: Parametrization) -> bool:
     signs are measured: by slices for a height with gaps on its own
     diagram, else as the conway_signs of measure_crossings.
     """
+    if not isinstance(r, Fraction):
+        raise ChebknotError(f"need a Fraction to verify against, not {r!r}")
     h = p.height
     signs = _twist_signs(h) if h.b == p.b else measure_crossings(3, p.b, h).conway_signs
     alpha, q = _fraction_of_twist_signs(signs)

@@ -19,6 +19,7 @@ from conftest import (
     one_regular_sequences,
 )
 from chebknot.contfrac import (
+    ClassicalCF,
     Fraction,
     Mat2,
     PMWord,
@@ -425,6 +426,18 @@ def test_pm_word_refuses_letters_that_are_not_a_string():
     for letters in (["P"], ("P", "M"), 123, None):
         with pytest.raises(ChebknotError, match="invalid word letters"):
             PMWord(letters)
+
+
+def test_matrices_and_classical_expansions_refuse_entries_that_are_not_ints():
+    # not isinstance: True is an int, and would build as 1
+    for entries in ((1.5, 0, 0, 1), (True, 0, 0, 1), (1, 0, 0, "1")):
+        with pytest.raises(ChebknotError, match="matrix entries must be ints"):
+            Mat2(*entries)
+    for quotients in ((1.5,), (True,), (2, 3.0), ("2",)):
+        with pytest.raises(ChebknotError, match="classical quotients must be ints"):
+            ClassicalCF(quotients)
+    assert Mat2(1, 1, 1, 0) @ Mat2.identity() == Mat2(1, 1, 1, 0)
+    assert ClassicalCF((2, 3)).quotients == (2, 3)
 
 
 def test_pm_word_rejects_negated_expansions():

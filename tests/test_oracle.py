@@ -8,6 +8,9 @@ import math
 import pickle
 import random
 from bisect import bisect_left
+from decimal import Decimal, localcontext
+from functools import lru_cache
+from itertools import count
 from math import gcd
 from types import SimpleNamespace
 
@@ -203,6 +206,14 @@ def test_verify_parametrization_tells_a_knot_from_its_mirror():
     assert verify_parametrization(Fraction(9, -2), parametrization(Fraction(9, 2))) is False
 
 
+def test_verify_parametrization_refuses_what_is_not_a_fraction():
+    # the curve stays duck-typed; the knot it is checked against must be a Fraction
+    p = parametrization(Fraction(9, 2))
+    for r in ("9/2", (9, 2), 9, None):
+        with pytest.raises(ChebknotError, match="need a Fraction"):
+            verify_parametrization(r, p)
+
+
 def test_same_knot_congruences_match_the_canonical_forms(monkeypatch):
     """verify_parametrization decides "same knot" by two congruences mod
     alpha; canonicalize and equivalent are the reference.  The measured
@@ -255,19 +266,19 @@ def test_measured_form_round_trips_the_emitted_form():
         assert sample.conway_signs == p.form.signs
 
 
-def test_separation_floor_raises_for_degenerate_height():
-    # z constant: every crossing is ambiguous
-    with pytest.raises(AmbiguousCrossing):
-        measure_crossings(3, 4, lambda t: 0.0)
+def test_measure_crossings_refuses_a_callable():
+    # no float floor: a height that cannot decide its own crossings is refused
+    # as an input, not measured and found ambiguous
+    for z in (lambda t: 0.0, lambda t: math.nan, math.cos, HeightPolynomial((0.5,), 1).__call__):
+        with pytest.raises(ChebknotError, match="must decide its own crossings") as info:
+            measure_crossings(3, 4, z)
+        assert not isinstance(info.value, AmbiguousCrossing)
 
 
-def test_nan_height_is_ambiguous():
-    # NaN compares False with everything, so it must not pass the floor
-    def z(t):
-        return math.nan
-
-    with pytest.raises(AmbiguousCrossing):
-        measure_crossings(3, 4, z)
+def test_constant_height_is_ambiguous():
+    # |z| = 1 at every parameter: the two enclosures meet at every crossing
+    with pytest.raises(AmbiguousCrossing, match="overlap"):
+        measure_crossings(3, 4, HeightPolynomial((), 1))
 
 
 def test_chebyshev_height_shared_factor_is_ambiguous():
@@ -331,17 +342,104 @@ def test_verify_parametrization_large_numerators(r):
     assert verify_parametrization(r, parametrization(r))
 
 
-def test_same_sign_strands_fall_to_the_float_rule():
+def test_same_sign_strands_are_decided_by_enclosures():
     # z = (t + 0.5)(t - 0.2)(t - 0.6): at the crossings 1, 4 and 6 both
-    # strands have one sign, so |z(t) - z(s)| decides there
+    # strands have one sign, so exact enclosures of |z(t)| and |z(s)| decide there
     z = HeightPolynomial((-0.5, 0.2, 0.6), 1)
     sample = measure_crossings(3, 7, z)
-    assert sample.conway_signs == (1, -1, 1, 1, -1, 1)  # as measured by the float rule alone
+    assert sample.conway_signs == (1, -1, 1, 1, -1, 1)
     for c in sample.crossings:
         assert c.zdiff_sign == (1 if z(c.t) > z(c.s) else -1)
     same = [(z(c.t) > 0) == (z(c.s) > 0) for c in sample.crossings]
     assert same == [True, False, False, True, False, True]
-    assert measure_crossings(3, 7, lambda t: z(t)).conway_signs == sample.conway_signs
+
+
+def test_a_same_sign_crossing_within_rounding_error_is_refused():
+    # at crossing (2, 1) |z| is about 3.6e7 and the true z(t) - z(s) about
+    # +4.5e-10 (80 digits), while the floats give -7.45e-9: no absolute floor
+    # could tell them apart, and the enclosures of |z(t)| and |z(s)| overlap
+    roots = (-29.688255099070634, -19.688255099070634, -9.688255099070632,
+             10.311744900929368, 20.311744900929366, 30.311744900929366)
+    with pytest.raises(AmbiguousCrossing, match=r"overlap .* at crossing \(2, 1\)"):
+        measure_crossings(3, 7, HeightPolynomial(roots, 1))
+
+
+# ---------------------------------------------------------------------------
+# every answered decision against 100-digit decimal truth
+# ---------------------------------------------------------------------------
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899862803482534211706798")
+
+
+@lru_cache(maxsize=None)
+def _true_parameter(m: int, ab: int) -> Decimal:
+    """cos(m*pi/ab) to 100 digits by its Taylor series."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        x2 = (_PI * m / ab) ** 2
+        term = total = Decimal(1)
+        for k in count(2, 2):
+            term = -term * x2 / (k * (k - 1))
+            if abs(term) < Decimal(10) ** -110:
+                return +total
+            total += term
+
+
+def _true_heights(height: HeightPolynomial, a: int, b: int, row) -> tuple[Decimal, Decimal]:
+    """z at the true t and s of the row, to 100 digits, with each root as its exact float."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        roots = [Decimal(r) for r in height.roots]
+        return tuple(height.leading_sign * math.prod((_true_parameter(m, a * b) - r for r in roots), start=Decimal(1))
+                     for m in (row.m_t, row.m_s))
+
+
+def _answered_same_sign(height: HeightPolynomial, a: int, b: int) -> int:
+    """Checks every decision the height answers against decimal truth and
+    counts those whose two strands have one sign; refusals are skipped."""
+    same_sign = 0
+    for row in enumerate_crossings(a, b):
+        try:
+            zdiff, _ = height.decide_crossing(a, b, row)
+        except AmbiguousCrossing:
+            continue
+        zt, zs = _true_heights(height, a, b, row)
+        assert zdiff == (1 if zt > zs else -1), (height.roots, b, row)
+        same_sign += (zt > 0) == (zs > 0)
+    return same_sign
+
+
+@st.composite
+def _near_tie_heights(draw):
+    """Pairs of roots symmetric about a crossing's midpoint make |z(t)| = |z(s)|
+    there; one root of a pair moved by a few ulps leaves a tiny true difference."""
+    b = draw(st.integers(4, 25).filter(lambda b: b % 3))
+    row = draw(st.sampled_from(enumerate_crossings(3, b)))
+    mid = (row.t + row.s) / 2
+    roots = []
+    for d in draw(st.lists(st.floats(1e-3, 40.0), min_size=1, max_size=3)):  # far roots make |z| large
+        roots += [mid - d, mid + d]
+    i, ulps = draw(st.integers(0, len(roots) - 1)), draw(st.integers(-40, 40))
+    roots[i] += ulps * math.ulp(roots[i])
+    roots += draw(st.lists(st.floats(-1.5, 1.5), max_size=4))
+    return HeightPolynomial(roots, draw(st.sampled_from((1, -1)))), b
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.builds(HeightPolynomial, st.lists(st.floats(-1.5, 1.5), max_size=8), st.sampled_from((1, -1))),
+              st.integers(2, 25).filter(lambda b: b % 3)),
+    _near_tie_heights(),
+))
+def test_answered_decisions_match_decimal_truth(case):
+    height, b = case
+    _answered_same_sign(height, 3, b)
+
+
+def test_a_degree_300_height_is_decided_against_decimal_truth():
+    rng = random.Random(300)
+    height = HeightPolynomial([rng.uniform(-1, 1) for _ in range(300)], 1)
+    assert _answered_same_sign(height, 3, 401) > 100
 
 
 def test_root_at_a_crossing_parameter_is_ambiguous():
