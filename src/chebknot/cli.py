@@ -240,6 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 converts ints of any length
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact answers print in full: a harmonic fraction can have 10^4 digits
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     fmt = "text"  # the last --format value, as argparse spells it, for its own errors

@@ -223,6 +223,8 @@ def eval_cf_projective(quotients: Sequence[int]) -> tuple[int, int]:
 
 def classical_expansion(r: Fraction) -> ClassicalCF:
     """Positive-quotient expansion of r > 1; the last quotient is >= 2."""
+    if not isinstance(r, Fraction):
+        raise ChebknotError(f"need a Fraction to expand, not {r!r}")
     if not (r.is_positive and r > 1):
         raise NotGreaterThanOne(f"{r} is not > 1")
     a, b = r.num, r.den
@@ -286,6 +288,8 @@ def regular_expansion(r: Fraction) -> RegularCF:
     at most one odd pair; runs of M-P pairs while b > 2a are the mirror
     image.  The walk is O(number of classical quotients) Python steps.
     """
+    if not isinstance(r, Fraction):
+        raise ChebknotError(f"need a Fraction to expand, not {r!r}")
     if not r.is_positive:
         raise NonPositiveInput(f"{r} is not a positive fraction")
     return RegularCF(_regular_terms(r.num, r.den, 1)[0])

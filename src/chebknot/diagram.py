@@ -200,6 +200,8 @@ def minimal_diagram(r: Fraction) -> MinimalDiagram:
     alpha/(alpha - beta); when the latter wins, its negated expansion is a
     diagram of the same knot and the mirrored flag records the detour.
     """
+    if not isinstance(r, Fraction):
+        raise ChebknotError(f"need a Fraction to draw, not {r!r}")
     return _minimal_diagram(r)[0]
 
 

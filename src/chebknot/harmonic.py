@@ -194,14 +194,8 @@ def classify(spec: HarmonicSpec) -> CanonicalHarmonic:
             mirror = not mirror
         else:
             break
-    lam = (2 * b - c) // 3
-    form = harmonic_conway(b, lam)
-    frac = eval_cf(form.signs)
-    n_cross = b - lam
-    result = CanonicalHarmonic(b, c, mirror, frac, n_cross, spec)
-    if 3 * n_cross != b + c:
-        raise ChebknotError("crossing number identity violated")
-    return result
+    lam = (2 * b - c) // 3  # exact, as b + c = 0 mod 3, and N = b - lam = (b + c) / 3
+    return CanonicalHarmonic(b, c, mirror, eval_cf(harmonic_conway(b, lam).signs), b - lam, spec)
 
 
 def is_harmonic_candidate(k: TwoBridgeKnot) -> bool:

@@ -12,6 +12,7 @@ crossing number.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from itertools import compress, count, islice, repeat
 from operator import ne, neg
@@ -21,6 +22,8 @@ from .contfrac import Fraction, Record, _all_plus_or_minus_one, is_amphicheiral
 from .diagram import PARAMETER_ERROR, ConwayForm, CrossingPoint, _minimal_diagram, _parameters
 from .diagram import _a3_crossing, _a3_events, _a3_families, _a3_next_event
 from .errors import AmbiguousCrossing, ChebknotError, IsLink
+
+_NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # negates signs held as array('b') bytes
 
 class GaussSequence(Record):
     """Over/under signs (+1 over, -1 under) of the diagram C(3, b) at its
@@ -51,9 +54,9 @@ class GaussSequence(Record):
         return len(self.signs)
 
 
-def _gauss_signs(form: ConwayForm) -> tuple[int, ...]:
+def _gauss_signs(form: ConwayForm) -> bytearray:
     """The Gauss signs of C(3, b) under a Conway form, by increasing m:
-    decreasing parameter.
+    decreasing parameter, one array('b') byte per sign.
 
     The twist sign at decreasing-x slot i asks for the sign
     (-1)^i * twist * xy_sign of z(t) - z(s) at that crossing, by the
@@ -61,13 +64,13 @@ def _gauss_signs(form: ConwayForm) -> tuple[int, ...]:
     negative at s.  Along each of diagram._a3_families that is c * twist
     at m_t, so each family's signs are one slice of the form's.
     """
-    b, twists = form.b, form.signs
-    by_m = [0] * (3 * b)  # 0 where m is not an event
+    b, twists = form.b, array("b", form.signs).tobytes()
+    negated = twists.translate(_NEG)
+    by_m = bytearray(3 * b)  # 0 where m is not an event
     for first, c, at_t, at_s in _a3_families(b):
-        run = twists[first::3]
-        flipped = tuple(map(neg, run))
+        run, flipped = twists[first::3], negated[first::3]
         by_m[at_t], by_m[at_s] = (run, flipped) if c == 1 else (flipped, run)
-    signs = tuple(filter(None, by_m))
+    signs = by_m.translate(None, b"\0")
     if len(signs) != 2 * (b - 1):
         raise ChebknotError("crossing parameters are not distinct")
     return signs
@@ -97,7 +100,7 @@ def _twist_signs(height: HeightPolynomial) -> list[int]:
 def gauss_sequence(form: ConwayForm) -> GaussSequence:
     """Gauss sequence forced on the diagram C(3, b) by a Conway form, read
     from the three crossing families by slices."""
-    return GaussSequence(_gauss_signs(form), form.b)
+    return GaussSequence(array("b", _gauss_signs(form)), form.b)
 
 
 def count_sign_changes(g: GaussSequence) -> int:
@@ -223,21 +226,25 @@ class HeightPolynomial(Record):
         return body if self.leading_sign > 0 else "-" + body
 
 
-def _height(b: int, signs: tuple[int, ...], amphicheiral: bool) -> HeightPolynomial:
-    """The height on C(3, b) with the Gauss signs at every event: its gaps
-    are the events whose sign differs from the next event's, and its
-    leading sign is the first event's.  Odd amphicheiral signs,
-    s_{-1-i} = -s_i on the symmetric events m_i + m_{-1-i} = 3b, and an
-    odd degree make the roots symmetric about 0 and the height odd."""
-    gaps = tuple(compress(_a3_events(b), map(ne, signs, islice(signs, 1, None))))
-    if amphicheiral and not (len(gaps) % 2 == 1 and signs[::-1] == tuple(map(neg, signs))):
+def _height(b: int, signs: bytes | bytearray, amphicheiral: bool) -> HeightPolynomial:
+    """The height on C(3, b) with the Gauss signs, array('b') bytes, at
+    every event: its gaps are the events whose sign differs from the next
+    event's, the nonzero bytes of x ^ (x >> 8) after the first with x the
+    signs as one big-endian integer, and its leading sign is the first
+    event's.  Odd amphicheiral signs, s_{-1-i} = -s_i on the symmetric
+    events m_i + m_{-1-i} = 3b, and an odd degree make the roots symmetric
+    about 0 and the height odd."""
+    x = int.from_bytes(signs, "big")
+    changes = (x ^ (x >> 8)).to_bytes(len(signs), "big")[1:]
+    gaps = tuple(compress(_a3_events(b), changes))
+    if amphicheiral and not (len(gaps) % 2 == 1 and signs[::-1] == signs.translate(_NEG)):
         raise ChebknotError("amphicheiral input did not give an odd height")
-    return HeightPolynomial._of_gaps(signs[0], b, gaps)
+    return HeightPolynomial._of_gaps(1 if signs[0] == 1 else -1, b, gaps)
 
 
 def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomial:
     """Height polynomial with one root per Gauss sign change, as in parametrization."""
-    return _height(g.b, g.signs, amphicheiral)
+    return _height(g.b, array("b", g.signs).tobytes(), amphicheiral)
 
 
 class Parametrization(Record):
@@ -266,6 +273,8 @@ class Parametrization(Record):
 def parametrization(r: Fraction) -> Parametrization:
     """Minimal diagram, Gauss signs and height polynomial (_height) for
     S(r), in integers.  The degrees always satisfy b + deg C = 3N."""
+    if not isinstance(r, Fraction):
+        raise ChebknotError(f"need a Fraction to parametrize, not {r!r}")
     if r.is_positive and not r.is_knot:
         raise IsLink(f"{r} defines a two-component link")
     md, n_cross = _minimal_diagram(r)

@@ -185,6 +185,18 @@ def test_harmonic_json(capsys):
     assert rec["amphicheiral"] is True
 
 
+def test_harmonic_prints_a_fraction_beyond_the_int_digit_limit(capsys):
+    # H(3, 98609, 72889) has N = 57,166 and a fraction of more than 4,300 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, _ = run(capsys, "harmonic", "3", "98609", "72889", "--format", "json")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored
+    assert len(out) > 2 * 4300
+    assert '"b_canon": 72889, "c_canon": 98609' in out and '"N": 57166' in out
+    code, out, _ = run(capsys, "harmonic", "3", "98609", "72889")
+    assert code == 0 and "(72889,98609)  N=57166  fraction=" in out
+
+
 def test_harmonic_trivial_is_domain_error(capsys):
     code, _, err = run(capsys, "harmonic", "3", "4", "7")
     assert code == 1

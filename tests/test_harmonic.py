@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import classical_euclid_oracle
 from chebknot.bridge import canonicalize, equivalent, Equivalence
 from chebknot.contfrac import Fraction, eval_cf, fibonacci
 from chebknot.errors import (
@@ -424,6 +425,23 @@ def test_classify_large_degrees_take_no_steps_cap():
     assert classify(HarmonicSpec(3, 5, big)) == replace(
         classify(HarmonicSpec(3, 5, 37)), spec=HarmonicSpec(3, 5, big)
     )
+
+
+def test_classify_crossing_number_is_a_third_of_the_canonical_degrees():
+    """b' + c' = 3N, with N the sum of the classical quotients of the canonical
+    fraction by plain Euclid, on every admissible (b, c) below 150 and on a
+    pair with N = 57,166."""
+    pairs = [(b, c) for b in range(2, 150) for c in range(2, 150) if b % 3 and c % 3 and gcd(b, c) == 1]
+    checked = 0
+    for b, c in pairs + [(98609, 72889)]:
+        try:
+            canon = classify(HarmonicSpec(3, b, c))
+        except TrivialKnot:
+            continue
+        n = sum(classical_euclid_oracle(abs(canon.fraction.num), abs(canon.fraction.den)))
+        assert 3 * n == 3 * canon.crossing_number == canon.b_prime + canon.c_prime, (b, c)
+        checked += 1
+    assert checked > 4000 and n == 57166
 
 
 def _oracle_knot(b: int, c: int):

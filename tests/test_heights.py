@@ -6,8 +6,9 @@ import math
 import pickle
 import random
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
-from itertools import compress
+from itertools import compress, islice
 from math import gcd
 from operator import add, ne, neg
 
@@ -15,15 +16,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_inputs, fractions_with_crossing_number_up_to
+from conftest import bench_inputs, eval_cf_oracle, fractions_with_crossing_number_up_to
+import chebknot.heights as heights_module
 from chebknot.bridge import fibonacci_fraction
 from chebknot.contfrac import Fraction, eval_cf, is_amphicheiral
-from chebknot.diagram import ConwayForm, _a3_events, _parameters, enumerate_crossings, minimal_diagram, twist_sign
+from chebknot.diagram import ConwayForm, _a3_events, _a3_families, _parameters, enumerate_crossings, minimal_diagram
+from chebknot.diagram import twist_sign
 from chebknot.errors import ChebknotError, IsLink, NotGreaterThanOne
 from chebknot.heights import (
     GaussSequence,
     HeightPolynomial,
     Parametrization,
+    _gauss_signs,
+    _height,
     build_height,
     count_sign_changes,
     gauss_sequence,
@@ -200,6 +205,113 @@ def test_concurrent_first_reads_of_derived_roots_agree():
         sys.setswitchinterval(interval)
 
 
+# ---------------------------------------------------------------------------
+# the sign-byte kernel against the tuple rules, its reference
+# ---------------------------------------------------------------------------
+
+def _tuple_gauss_signs(form: ConwayForm) -> tuple[int, ...]:
+    """The reference Gauss rule on int tuples: each family's twist slice and
+    its negation, written into a list by m, the non-events filtered out."""
+    b, twists = form.b, form.signs
+    by_m = [0] * (3 * b)  # 0 where m is not an event
+    for first, c, at_t, at_s in _a3_families(b):
+        run = twists[first::3]
+        flipped = tuple(map(neg, run))
+        by_m[at_t], by_m[at_s] = (run, flipped) if c == 1 else (flipped, run)
+    signs = tuple(filter(None, by_m))
+    if len(signs) != 2 * (b - 1):
+        raise ChebknotError("crossing parameters are not distinct")
+    return signs
+
+
+def _tuple_height(b: int, signs: tuple[int, ...], amphicheiral: bool) -> HeightPolynomial:
+    """The reference gap rule on int tuples: one gap per pair of unequal neighbours."""
+    gaps = tuple(compress(_a3_events(b), map(ne, signs, islice(signs, 1, None))))
+    if amphicheiral and not (len(gaps) % 2 == 1 and signs[::-1] == tuple(map(neg, signs))):
+        raise ChebknotError("amphicheiral input did not give an odd height")
+    return HeightPolynomial._of_gaps(signs[0], b, gaps)
+
+
+def _outcome(f, *args):
+    """f(*args) as ("ok", value), or its refusal as (class, message)."""
+    try:
+        return "ok", f(*args)
+    except ChebknotError as exc:
+        return type(exc), str(exc)
+
+
+def _gap_fields(outcome: tuple) -> tuple:
+    """An outcome with a height read as (leading_sign, b, gaps), leaving its roots unread."""
+    kind, value = outcome
+    return (kind, (type(value.leading_sign), value.leading_sign, value.b, value.gaps)) if kind == "ok" else outcome
+
+
+def _assert_kernel_equals_the_tuple_rules(form: ConwayForm, amphicheiral_flags=(False, True)) -> None:
+    want = _tuple_gauss_signs(form)
+    got = _gauss_signs(form)
+    assert tuple(array("b", got)) == want, form
+    assert gauss_sequence(form).signs == want, form
+    for amph in amphicheiral_flags:
+        expected = _gap_fields(_outcome(_tuple_height, form.b, want, amph))
+        assert _gap_fields(_outcome(_height, form.b, got, amph)) == expected, (form, amph)
+        g = GaussSequence(want, form.b)
+        assert _gap_fields(_outcome(build_height, g, amph)) == expected, (form, amph)
+
+
+def _chain_inputs() -> list[Fraction]:
+    """The census knots, the giants of seeds 7, 101 and 303, 2001/1 and (10^9+7)/123456789."""
+    inputs = bench_inputs()
+    rs = [Fraction(a, b) for a, b, _ in inputs.census_knots()]
+    rs += [Fraction(a, b) for seed in (7, 101, 303) for a, b, *_ in inputs.giants(seed)]
+    return rs + [Fraction(2001, 1), Fraction(10**9 + 7, 123456789)]
+
+
+def test_sign_bytes_equal_the_tuple_rules_on_the_chain_inputs():
+    amphicheiral = 0
+    for r in _chain_inputs():
+        amph = is_amphicheiral(r.num, r.den)
+        amphicheiral += amph
+        _assert_kernel_equals_the_tuple_rules(minimal_diagram(r).form, (amph,))
+    assert amphicheiral > 20
+
+
+def _palindromic_fraction(quotients: list[int]) -> Fraction:
+    """The fraction of the even palindrome q_1 ... q_k q_k ... q_1: beta^2 = -1 mod alpha."""
+    value = eval_cf_oracle(quotients + quotients[::-1])
+    return Fraction(value.numerator, value.denominator)
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=st.integers(2, 3001), seed=st.integers(0, 2**32))
+def test_sign_bytes_equal_the_tuple_rules_on_one_regular_forms(b, seed):
+    assume(b % 3)
+    _assert_kernel_equals_the_tuple_rules(ConwayForm(_random_one_regular(random.Random(seed), b - 1), b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(quotients=st.lists(st.integers(1, 30), min_size=1, max_size=40))
+def test_sign_bytes_equal_the_tuple_rules_on_amphicheiral_forms(quotients):
+    r = _palindromic_fraction(quotients)
+    assume(r.num % 2 == 1)
+    assert is_amphicheiral(r.num, r.den)
+    form = minimal_diagram(r).form
+    assume(form.b <= 3001)
+    _assert_kernel_equals_the_tuple_rules(form)
+    assert _height(form.b, _gauss_signs(form), True).degree % 2 == 1
+
+
+def test_both_gauss_rules_refuse_families_that_share_a_parameter(monkeypatch):
+    form = minimal_diagram(Fraction(9, 2)).form  # b = 8: families of 2, 2 and 3 slots
+    families = _a3_families(form.b)
+    shared = lambda b: (families[0], families[0], families[2])  # the second family's events are never written
+    monkeypatch.setattr(heights_module, "_a3_families", shared)
+    monkeypatch.setitem(globals(), "_a3_families", shared)
+    expected = (ChebknotError, "crossing parameters are not distinct")
+    assert _outcome(_tuple_gauss_signs, form) == expected
+    assert _outcome(_gauss_signs, form) == expected
+    assert _outcome(gauss_sequence, form) == expected
+
+
 @pytest.mark.parametrize("sign", [0, 2, -2, 1.0, -1.0, True, None], ids=repr)
 def test_gauss_sequence_refuses_signs_that_are_not_plus_or_minus_one(sign):
     with pytest.raises(ChebknotError, match="event signs must all be"):
@@ -221,6 +333,9 @@ def test_gauss_sequence_refuses_signs_that_are_not_plus_or_minus_one(sign):
 def test_an_amphicheiral_input_that_is_not_odd_is_refused(signs, b):
     with pytest.raises(ChebknotError, match="amphicheiral input did not give an odd height"):
         build_height(GaussSequence(signs, b), amphicheiral=True)
+    expected = (ChebknotError, "amphicheiral input did not give an odd height")
+    assert _outcome(_tuple_height, b, signs, True) == expected
+    assert _outcome(_height, b, array("b", signs).tobytes(), True) == expected
 
 
 @pytest.mark.parametrize(

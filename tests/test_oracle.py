@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import bench_inputs, fractions_with_crossing_number_up_to
 from test_heights import _random_one_regular
+import chebknot
 from chebknot import cli, oracle
 from chebknot.bridge import Equivalence, canonicalize, equivalent
 from chebknot.contfrac import Fraction, crossing_number, fibonacci, is_amphicheiral
@@ -212,6 +213,20 @@ def test_verify_parametrization_refuses_what_is_not_a_fraction():
     for r in ("9/2", (9, 2), 9, None):
         with pytest.raises(ChebknotError, match="need a Fraction"):
             verify_parametrization(r, p)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["parametrization", "minimal_diagram", "regular_expansion", "classical_expansion",
+     "crossing_number", "conjugate_fractions", "palindromy_report", "is_minimal_by_word"],
+)
+def test_the_chain_entries_refuse_what_is_not_a_fraction(entry):
+    # the first four check; the last four reach a check through them
+    call = getattr(chebknot, entry)
+    for r in ("9/2", (9, 2), 9, None):
+        with pytest.raises(ChebknotError, match="need a Fraction"):
+            call(r)
+    call(Fraction(9, 2))
 
 
 def test_same_knot_congruences_match_the_canonical_forms(monkeypatch):
