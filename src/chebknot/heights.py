@@ -55,8 +55,8 @@ class GaussSequence(Record):
 
 
 def _gauss_signs(form: ConwayForm) -> bytearray:
-    """The Gauss signs of C(3, b) under a Conway form, by increasing m:
-    decreasing parameter, one array('b') byte per sign.
+    """The Gauss signs of C(3, b) under a Conway form by m in range(3b),
+    one array('b') byte per sign and 0 where m is not an event.
 
     The twist sign at decreasing-x slot i asks for the sign
     (-1)^i * twist * xy_sign of z(t) - z(s) at that crossing, by the
@@ -66,44 +66,49 @@ def _gauss_signs(form: ConwayForm) -> bytearray:
     """
     b, twists = form.b, array("b", form.signs).tobytes()
     negated = twists.translate(_NEG)
-    by_m = bytearray(3 * b)  # 0 where m is not an event
+    by_m = bytearray(3 * b)
     for first, c, at_t, at_s in _a3_families(b):
         run, flipped = twists[first::3], negated[first::3]
         by_m[at_t], by_m[at_s] = (run, flipped) if c == 1 else (flipped, run)
-    signs = by_m.translate(None, b"\0")
-    if len(signs) != 2 * (b - 1):
+    if by_m.count(0) != b + 2:  # the b multiples of 3, b and 2b
         raise ChebknotError("crossing parameters are not distinct")
-    return signs
+    return by_m
 
 
-def _twist_signs(height: HeightPolynomial) -> list[int]:
+def _twist_signs(height: HeightPolynomial) -> array:
     """The twist signs of a height with gaps on its own C(3, b):
     _gauss_signs' family rule read backwards, at m_t and again at m_s.
-    z has the sign leading_sign up to the first gap and flips after each.
-    Where the readings differ both strands have one sign, and the first
-    such crossing by decreasing x is refused.
+    z's sign at m, leading_sign flipped once per gap below m, is the prefix
+    XOR of the leading sign's byte and then the gap bitmap, by shift-XORs
+    of 1, 2, 4, ... bytes.  Where the readings differ both strands have one
+    sign, and the first such crossing by decreasing x is refused.
     """
-    b, lead, gaps = height.b, height.leading_sign, height.gaps
-    sign = [lead] * (3 * b)  # z's sign at every m in range(3b)
-    for lo, hi in zip(gaps[::2], gaps[1::2] + (3 * b - 1,)):  # -lead after gaps[2i] through gaps[2i + 1]
-        sign[lo + 1:hi + 1] = [-lead] * (hi - lo)
-    twists, from_s = [0] * (b - 1), [0] * (b - 1)
+    b, lead = height.b, bytes([height.leading_sign % 256])  # leading_sign's array('b') byte
+    x, shift = int.from_bytes(lead + height._gaps_by_m, "big"), 8
+    while shift < 24 * b:
+        x, shift = x ^ (x >> shift), 2 * shift
+    sign = x.to_bytes(3 * b, "big")  # z's sign by m, array('b') bytes
+    twists, from_s = bytearray(b - 1), bytearray(b - 1)
     for first, c, at_t, at_s in _a3_families(b):
-        twists[first::3] = sign[at_t] if c == 1 else map(neg, sign[at_t])
-        from_s[first::3] = map(neg, sign[at_s]) if c == 1 else sign[at_s]
+        twists[first::3] = sign[at_t] if c == 1 else sign[at_t].translate(_NEG)
+        from_s[first::3] = sign[at_s].translate(_NEG) if c == 1 else sign[at_s]
     if twists != from_s:
         slot = next(compress(count(), map(ne, twists, from_s)))
         raise AmbiguousCrossing(f"both strands of z have one sign at crossing {_a3_crossing(b, slot)}")
-    return twists
+    return array("b", twists)
 
 
 def gauss_sequence(form: ConwayForm) -> GaussSequence:
     """Gauss sequence forced on the diagram C(3, b) by a Conway form, read
     from the three crossing families by slices."""
-    return GaussSequence(array("b", _gauss_signs(form)), form.b)
+    if not isinstance(form, ConwayForm):
+        raise ChebknotError(f"need a ConwayForm, not {form!r}")
+    return GaussSequence(array("b", _gauss_signs(form).translate(None, b"\0")), form.b)
 
 
 def count_sign_changes(g: GaussSequence) -> int:
+    if not isinstance(g, GaussSequence):
+        raise ChebknotError(f"need a GaussSequence, not {g!r}")
     return sum(map(ne, g.signs, g.signs[1:]))
 
 
@@ -112,14 +117,15 @@ class HeightPolynomial(Record):
 
     HeightPolynomial(roots, leading_sign) has float roots, b and gaps None.
     A height that parametrization or build_height makes on C(3, b) keeps b
-    and, in gaps, one increasing integer per root: the m of the Gauss event
-    that opens the gap between consecutive event parameters in which the
-    root sits.  A gap g puts its root below the parameter cos(m*pi/3b) of
-    every event m <= g and above every other one: z's sign flips after each
-    gap (_twist_signs).  __getattr__ derives its float roots on first read.
+    and a gap bitmap, one byte per m in range(3b - 1): 0xfe, the XOR of the
+    two sign bytes, at the m of each Gauss event that opens the gap between
+    consecutive event parameters in which a root sits, and 0 elsewhere.  A gap g puts its root below the
+    parameter cos(m*pi/3b) of every event m <= g and above every other one:
+    z's sign flips after each gap (_twist_signs).  __getattr__ derives gaps,
+    the increasing tuple of those m, and the float roots on first read.
     """
 
-    __slots__ = ("roots", "leading_sign", "b", "gaps")
+    __slots__ = ("roots", "leading_sign", "b", "gaps", "_gaps_by_m")
 
     def __init__(self, roots: Sequence[float], leading_sign: int) -> None:
         object.__setattr__(self, "roots", tuple(sorted(roots)))
@@ -127,36 +133,39 @@ class HeightPolynomial(Record):
             raise ChebknotError("roots must be finite")
         if type(leading_sign) is not int or leading_sign not in (1, -1):
             raise ChebknotError("leading sign must be +1 or -1")
-        for name, value in (("leading_sign", leading_sign), ("b", None), ("gaps", None)):
+        for name, value in (("leading_sign", leading_sign), ("b", None), ("gaps", None), ("_gaps_by_m", None)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _of_gaps(cls, leading_sign: int, b: int, gaps: tuple[int, ...]) -> HeightPolynomial:
-        """The height on C(3, b) with _height's gaps, increasing events below the last, unchecked."""
+    def _of_gaps(cls, leading_sign: int, b: int, gaps_by_m: bytes) -> HeightPolynomial:
+        """The height on C(3, b) with _height's gap bitmap, unchecked."""
         height = object.__new__(cls)
-        for name, value in (("leading_sign", leading_sign), ("b", b), ("gaps", gaps)):
+        for name, value in (("leading_sign", leading_sign), ("b", b), ("_gaps_by_m", gaps_by_m)):
             object.__setattr__(height, name, value)
         return height
 
-    def __reduce__(self) -> tuple:  # pickle rebuilds a gap height from its gaps, leaving its roots unread
-        if self.gaps is None:
+    def __reduce__(self) -> tuple:  # pickle rebuilds a gap height from its bitmap, leaving gaps and roots unread
+        if self.b is None:
             return type(self), (self.roots, self.leading_sign)
-        return self._of_gaps, (self.leading_sign, self.b, self.gaps)
+        return self._of_gaps, (self.leading_sign, self.b, self._gaps_by_m)
 
-    def __getattr__(self, name: str) -> tuple[float, ...]:
-        # only unset slots get here, and roots is unset only after _of_gaps
-        if name != "roots":
+    def __getattr__(self, name: str) -> tuple:
+        # only unset slots get here, and gaps and roots are unset only after _of_gaps
+        if name == "gaps":
+            value = tuple(compress(count(), self._gaps_by_m))
+        elif name == "roots":
+            b, gaps = self.b, self.gaps[::-1]  # decreasing gaps give increasing roots
+            nexts = map(_a3_next_event, gaps, repeat(b))
+            # the root in each gap is the midpoint of its two parameters
+            value = tuple((p + q) / 2.0 for p, q in zip(_parameters(gaps, 3 * b), _parameters(nexts, 3 * b)))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        b, gaps = self.b, self.gaps[::-1]  # decreasing gaps give increasing roots
-        nexts = map(_a3_next_event, gaps, repeat(b))
-        # the root in each gap is the midpoint of its two parameters
-        roots = tuple((p + q) / 2.0 for p, q in zip(_parameters(gaps, 3 * b), _parameters(nexts, 3 * b)))
-        object.__setattr__(self, "roots", roots)
-        return roots
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def degree(self) -> int:
-        return len(self.roots if self.gaps is None else self.gaps)
+        return len(self.roots) if self.b is None else len(self._gaps_by_m) - self._gaps_by_m.count(0)
 
     def __call__(self, t: float) -> float:
         v = float(self.leading_sign)
@@ -226,25 +235,35 @@ class HeightPolynomial(Record):
         return body if self.leading_sign > 0 else "-" + body
 
 
-def _height(b: int, signs: bytes | bytearray, amphicheiral: bool) -> HeightPolynomial:
-    """The height on C(3, b) with the Gauss signs, array('b') bytes, at
-    every event: its gaps are the events whose sign differs from the next
-    event's, the nonzero bytes of x ^ (x >> 8) after the first with x the
-    signs as one big-endian integer, and its leading sign is the first
-    event's.  Odd amphicheiral signs, s_{-1-i} = -s_i on the symmetric
-    events m_i + m_{-1-i} = 3b, and an odd degree make the roots symmetric
-    about 0 and the height odd."""
-    x = int.from_bytes(signs, "big")
-    changes = (x ^ (x >> 8)).to_bytes(len(signs), "big")[1:]
-    gaps = tuple(compress(_a3_events(b), changes))
-    if amphicheiral and not (len(gaps) % 2 == 1 and signs[::-1] == signs.translate(_NEG)):
+def _height(b: int, by_m: bytearray, amphicheiral: bool) -> HeightPolynomial:
+    """The height on C(3, b) with _gauss_signs' bytes by m: its gaps are the
+    events whose sign differs from the next event's.  With every non-event
+    given the next event's sign, those are the nonzero bytes of
+    x ^ (x >> 8) after the first, x the bytes as one big-endian integer,
+    and the leading sign is the first event's.  Odd amphicheiral signs,
+    equal at m and 3b - m up to sign, and an odd degree make the roots
+    symmetric about 0 and the height odd."""
+    f = bytearray(by_m)
+    for m in (2 * b, b):  # 2b first: at b = 2, b reads its next event through 2b = b + 2
+        f[m] = f[m + 1 if (m + 1) % 3 else m + 2]
+    f[0::3] = f[1::3]
+    x = int.from_bytes(f, "big")
+    height = HeightPolynomial._of_gaps(1 if f[0] == 1 else -1, b, (x ^ (x >> 8)).to_bytes(3 * b, "big")[1:])
+    if amphicheiral and not (height.degree % 2 == 1 and by_m[1:][::-1] == by_m[1:].translate(_NEG)):
         raise ChebknotError("amphicheiral input did not give an odd height")
-    return HeightPolynomial._of_gaps(1 if signs[0] == 1 else -1, b, gaps)
+    return height
 
 
 def build_height(g: GaussSequence, amphicheiral: bool = False) -> HeightPolynomial:
-    """Height polynomial with one root per Gauss sign change, as in parametrization."""
-    return _height(g.b, array("b", g.signs).tobytes(), amphicheiral)
+    """Height polynomial with one root per Gauss sign change, as in parametrization:
+    the signs go to their m by two residue slices, a 0 held for m = b and 2b."""
+    if not isinstance(g, GaussSequence):
+        raise ChebknotError(f"need a GaussSequence, not {g!r}")
+    b, signs = g.b, array("b", g.signs).tobytes()
+    i, j = b - 1 - (b - 1) // 3, 2 * b - 2 - (2 * b - 1) // 3  # the signs below m = b and m = 2b
+    by_m, prime_to_3 = bytearray(3 * b), b"\0".join((signs[:i], signs[i:j], signs[j:]))
+    by_m[1::3], by_m[2::3] = prime_to_3[0::2], prime_to_3[1::2]
+    return _height(b, by_m, amphicheiral)
 
 
 class Parametrization(Record):

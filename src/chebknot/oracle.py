@@ -132,6 +132,8 @@ def recover_knot(sample: CurveSample) -> TwoBridgeKnot:
     diagrams that are not in one-regular form (non-canonical harmonic
     degrees) still recover their knot.
     """
+    if not isinstance(sample, CurveSample):
+        raise ChebknotError(f"need a CurveSample, not {sample!r}")
     if sample.a != 3:
         raise NotTwoBridge("diagram recovery requires a = 3")
     return canonicalize(*_fraction_of_twist_signs(sample.conway_signs))

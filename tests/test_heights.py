@@ -8,27 +8,28 @@ import random
 import sys
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from itertools import compress, islice
+from itertools import compress, count, islice, product
 from math import gcd
 from operator import add, ne, neg
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_inputs, eval_cf_oracle, fractions_with_crossing_number_up_to
 import chebknot.heights as heights_module
 from chebknot.bridge import fibonacci_fraction
 from chebknot.contfrac import Fraction, eval_cf, is_amphicheiral
-from chebknot.diagram import ConwayForm, _a3_events, _a3_families, _parameters, enumerate_crossings, minimal_diagram
-from chebknot.diagram import twist_sign
-from chebknot.errors import ChebknotError, IsLink, NotGreaterThanOne
+from chebknot.diagram import ConwayForm, _a3_crossing, _a3_events, _a3_families, _parameters, enumerate_crossings
+from chebknot.diagram import minimal_diagram, twist_sign
+from chebknot.errors import AmbiguousCrossing, ChebknotError, IsLink, NotGreaterThanOne
 from chebknot.heights import (
     GaussSequence,
     HeightPolynomial,
     Parametrization,
     _gauss_signs,
     _height,
+    _twist_signs,
     build_height,
     count_sign_changes,
     gauss_sequence,
@@ -142,12 +143,14 @@ def _fields(height: HeightPolynomial) -> tuple:
 
 def _assert_derived_roots_are_the_eager_midpoints(r: Fraction) -> Parametrization:
     p = parametrization(r)
-    with pytest.raises(AttributeError):  # construction stores no roots
-        HeightPolynomial.roots.__get__(p.height)
+    for derived in (HeightPolynomial.gaps, HeightPolynomial.roots):  # construction stores neither
+        with pytest.raises(AttributeError):
+            derived.__get__(p.height)
     events, ms = _reference_gauss(p.form)
     eager = _eager_height(events, p.b, ms, is_amphicheiral(r.num, r.den))
     assert list(map(float.hex, p.height.roots)) == list(map(float.hex, eager[0])), r
     assert HeightPolynomial.roots.__get__(p.height) is p.height.roots  # kept after the first read
+    assert HeightPolynomial.gaps.__get__(p.height) is p.height.gaps
     assert _fields(p.height) == eager, r
     assert _fields(pickle.loads(pickle.dumps(p.height))) == eager, r
     return p
@@ -190,23 +193,25 @@ def test_derived_roots_equal_the_eager_midpoints_on_giants(seed):
 
 def test_concurrent_first_reads_of_derived_roots_agree():
     r = Fraction(2001, 1)
-    want = parametrization(r).height.roots
+    height = parametrization(r).height
+    want = {"gaps": height.gaps, "roots": height.roots}
 
-    def first_reads(height: HeightPolynomial) -> list:
-        return list(pool.map(lambda _: height.roots, range(4), timeout=60))
+    def first_reads(height: HeightPolynomial, name: str) -> list:
+        return list(pool.map(lambda _: getattr(height, name), range(4), timeout=60))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             for _ in range(8):
-                assert first_reads(parametrization(r).height) == [want] * 4
+                for name in ("gaps", "roots"):  # each on a fresh height: roots derive gaps on the way
+                    assert first_reads(parametrization(r).height, name) == [want[name]] * 4
     finally:
         sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
-# the sign-byte kernel against the tuple rules, its reference
+# the byte kernel against the tuple rules, its reference
 # ---------------------------------------------------------------------------
 
 def _tuple_gauss_signs(form: ConwayForm) -> tuple[int, ...]:
@@ -224,12 +229,40 @@ def _tuple_gauss_signs(form: ConwayForm) -> tuple[int, ...]:
     return signs
 
 
-def _tuple_height(b: int, signs: tuple[int, ...], amphicheiral: bool) -> HeightPolynomial:
-    """The reference gap rule on int tuples: one gap per pair of unequal neighbours."""
+def _tuple_height(b: int, signs: tuple[int, ...], amphicheiral: bool) -> tuple:
+    """The reference gap rule on int tuples, one gap per pair of unequal
+    neighbours: (leading_sign, b, gaps), the fields a height kept before
+    its gap bitmap."""
     gaps = tuple(compress(_a3_events(b), map(ne, signs, islice(signs, 1, None))))
     if amphicheiral and not (len(gaps) % 2 == 1 and signs[::-1] == tuple(map(neg, signs))):
         raise ChebknotError("amphicheiral input did not give an odd height")
-    return HeightPolynomial._of_gaps(signs[0], b, gaps)
+    return signs[0], b, gaps
+
+
+def _gap_list_twist_signs(leading_sign: int, b: int, gaps: tuple[int, ...]) -> list[int]:
+    """The reference twist-sign rule on a gap list: z's sign by m as a list
+    of ints, negated by one slice per pair of gaps, then read through the
+    family slices at m_t and at m_s; the first crossing whose readings
+    differ is refused."""
+    sign = [leading_sign] * (3 * b)
+    for lo, hi in zip(gaps[::2], gaps[1::2] + (3 * b - 1,)):  # -leading_sign after gaps[2i] through gaps[2i + 1]
+        sign[lo + 1:hi + 1] = [-leading_sign] * (hi - lo)
+    twists, from_s = [0] * (b - 1), [0] * (b - 1)
+    for first, c, at_t, at_s in _a3_families(b):
+        twists[first::3] = sign[at_t] if c == 1 else map(neg, sign[at_t])
+        from_s[first::3] = map(neg, sign[at_s]) if c == 1 else sign[at_s]
+    if twists != from_s:
+        slot = next(compress(count(), map(ne, twists, from_s)))
+        raise AmbiguousCrossing(f"both strands of z have one sign at crossing {_a3_crossing(b, slot)}")
+    return twists
+
+
+def _by_m(signs: tuple[int, ...], b: int) -> bytearray:
+    """Gauss signs laid out as _gauss_signs writes them: one array('b') byte per m, 0 off the events."""
+    by_m = bytearray(3 * b)
+    for m, sign in zip(_a3_events(b), array("b", signs).tobytes()):
+        by_m[m] = sign
+    return by_m
 
 
 def _outcome(f, *args):
@@ -240,22 +273,39 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _gap_fields(outcome: tuple) -> tuple:
-    """An outcome with a height read as (leading_sign, b, gaps), leaving its roots unread."""
-    kind, value = outcome
-    return (kind, (type(value.leading_sign), value.leading_sign, value.b, value.gaps)) if kind == "ok" else outcome
+def _reference_fields(b: int, signs: tuple[int, ...], amphicheiral: bool) -> tuple:
+    """The tuple rules' outcome as (leading_sign, b, gaps, degree, twist-sign outcome)."""
+    kind, value = _outcome(_tuple_height, b, signs, amphicheiral)
+    if kind != "ok":
+        return kind, value
+    return kind, (*value, len(value[2]), _outcome(_gap_list_twist_signs, *value))
+
+
+def _kernel_fields(outcome: tuple) -> tuple:
+    """A kernel height's outcome read as _reference_fields reads the tuple rules'."""
+    kind, height = outcome
+    if kind != "ok":
+        return outcome
+    assert type(height.leading_sign) is int and type(height._gaps_by_m) is bytes
+    twists = _outcome(lambda: list(_twist_signs(height)))
+    return kind, (height.leading_sign, height.b, height.gaps, height.degree, twists)
+
+
+def _assert_heights_equal_the_tuple_rules(signs: tuple[int, ...], b: int, amphicheiral: bool) -> None:
+    expected = _reference_fields(b, signs, amphicheiral)
+    by_m = _by_m(signs, b)
+    assert _kernel_fields(_outcome(_height, b, by_m, amphicheiral)) == expected, (signs, b, amphicheiral)
+    assert by_m == _by_m(signs, b)  # _height back-fills a copy
+    got = _kernel_fields(_outcome(build_height, GaussSequence(signs, b), amphicheiral))
+    assert got == expected, (signs, b, amphicheiral)
 
 
 def _assert_kernel_equals_the_tuple_rules(form: ConwayForm, amphicheiral_flags=(False, True)) -> None:
     want = _tuple_gauss_signs(form)
-    got = _gauss_signs(form)
-    assert tuple(array("b", got)) == want, form
+    assert _gauss_signs(form) == _by_m(want, form.b), form
     assert gauss_sequence(form).signs == want, form
     for amph in amphicheiral_flags:
-        expected = _gap_fields(_outcome(_tuple_height, form.b, want, amph))
-        assert _gap_fields(_outcome(_height, form.b, got, amph)) == expected, (form, amph)
-        g = GaussSequence(want, form.b)
-        assert _gap_fields(_outcome(build_height, g, amph)) == expected, (form, amph)
+        _assert_heights_equal_the_tuple_rules(want, form.b, amph)
 
 
 def _chain_inputs() -> list[Fraction]:
@@ -300,6 +350,32 @@ def test_sign_bytes_equal_the_tuple_rules_on_amphicheiral_forms(quotients):
     assert _height(form.b, _gauss_signs(form), True).degree % 2 == 1
 
 
+@pytest.mark.parametrize("b", [2, 4, 5, 7])
+def test_the_gap_bitmap_equals_the_tuple_rules_on_every_sign_sequence(b):
+    # b = 2 back-fills b from 2b, b = 4 fills 2b from 2b + 2 and b = 5 fills b from b + 2
+    for signs in product((1, -1), repeat=2 * (b - 1)):
+        for amph in (False, True):
+            _assert_heights_equal_the_tuple_rules(signs, b, amph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=st.integers(2, 2999), seed=st.integers(0, 2**32), flips=st.integers(0, 3))
+@example(b=2, seed=0, flips=0)
+@example(b=4, seed=0, flips=1)
+@example(b=5, seed=0, flips=0)
+@example(b=2999, seed=0, flips=2)
+def test_the_gap_bitmap_equals_the_tuple_rules_on_perturbed_gauss_signs(b, seed, flips):
+    """A form's Gauss signs with up to three of them negated: a negated sign
+    leaves its crossing with strands of one sign, which both rules refuse."""
+    assume(b % 3)
+    rng = random.Random(seed)
+    signs = list(_tuple_gauss_signs(ConwayForm(_random_one_regular(rng, b - 1), b)))
+    for i in rng.sample(range(len(signs)), min(flips, len(signs))):
+        signs[i] = -signs[i]
+    for amph in (False, True):
+        _assert_heights_equal_the_tuple_rules(tuple(signs), b, amph)
+
+
 def test_both_gauss_rules_refuse_families_that_share_a_parameter(monkeypatch):
     form = minimal_diagram(Fraction(9, 2)).form  # b = 8: families of 2, 2 and 3 slots
     families = _a3_families(form.b)
@@ -335,7 +411,7 @@ def test_an_amphicheiral_input_that_is_not_odd_is_refused(signs, b):
         build_height(GaussSequence(signs, b), amphicheiral=True)
     expected = (ChebknotError, "amphicheiral input did not give an odd height")
     assert _outcome(_tuple_height, b, signs, True) == expected
-    assert _outcome(_height, b, array("b", signs).tobytes(), True) == expected
+    assert _outcome(_height, b, _by_m(signs, b), True) == expected
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+from array import array
 from bisect import bisect_left
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -19,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bench_inputs, fractions_with_crossing_number_up_to
-from test_heights import _random_one_regular
+from test_heights import _gap_list_twist_signs, _random_one_regular
 import chebknot
 from chebknot import cli, oracle
 from chebknot.bridge import Equivalence, canonicalize, equivalent
@@ -227,6 +228,25 @@ def test_the_chain_entries_refuse_what_is_not_a_fraction(entry):
         with pytest.raises(ChebknotError, match="need a Fraction"):
             call(r)
     call(Fraction(9, 2))
+
+
+@pytest.mark.parametrize(
+    "entry, record",
+    [("gauss_sequence", "ConwayForm"), ("build_height", "GaussSequence"),
+     ("count_sign_changes", "GaussSequence"), ("recover_knot", "CurveSample")],
+)
+def test_the_record_entries_refuse_what_is_not_their_record(entry, record):
+    # a tuple or None raised a bare AttributeError, and a record with the same
+    # field names (a ConwayForm's b and signs read as a GaussSequence's) gave a wrong answer
+    form = chebknot.minimal_diagram(Fraction(9, 2)).form
+    g = gauss_sequence(form)
+    sample = measure_crossings(3, form.b, build_height(g))
+    good = {"ConwayForm": form, "GaussSequence": g, "CurveSample": sample}
+    call = getattr(chebknot, entry)
+    for value in ((1, -1), None, *(v for name, v in good.items() if name != record)):
+        with pytest.raises(ChebknotError, match=f"need a {record}, not "):
+            call(value)
+    call(good[record])
 
 
 def test_same_knot_congruences_match_the_canonical_forms(monkeypatch):
@@ -541,6 +561,11 @@ def _reference_twist_signs(height: HeightPolynomial) -> list[int]:
     return signs
 
 
+def _gap_list_reading(height: HeightPolynomial) -> list[int]:
+    """The gap-list twist-sign reference of test_heights, on the height's derived gaps."""
+    return _gap_list_twist_signs(height.leading_sign, height.b, height.gaps)
+
+
 def _refusal(read, height: HeightPolynomial) -> str:
     with pytest.raises(AmbiguousCrossing) as info:
         read(height)
@@ -555,10 +580,13 @@ def test_slice_twist_signs_equal_the_row_loop(b, seed):
     form = ConwayForm(_random_one_regular(rng, b - 1), b)
     g = gauss_sequence(form)
     height = build_height(g)
-    assert _twist_signs(height) == _reference_twist_signs(height) == list(form.signs)
+    twists = _twist_signs(height)
+    assert type(twists) is array and twists.typecode == "b"
+    assert list(twists) == _reference_twist_signs(height) == _gap_list_reading(height) == list(form.signs)
     moved = _moved_root(height, rng.randrange(height.degree), rng.choice((1, -1)))
     if moved is not None:
-        assert _refusal(_twist_signs, moved) == _refusal(_reference_twist_signs, moved)
+        refusal = _refusal(_twist_signs, moved)
+        assert refusal == _refusal(_reference_twist_signs, moved) == _refusal(_gap_list_reading, moved)
 
 
 @st.composite
@@ -589,6 +617,14 @@ def _with_height(p: Parametrization, height: HeightPolynomial) -> Parametrizatio
     return Parametrization(p.b, height, p.crossing_number, p.form, p.mirrored)
 
 
+def _gap_height(leading_sign: int, b: int, gaps) -> HeightPolynomial:
+    """The gap height of a gap list: its bitmap is 0xfe at each gap and 0 elsewhere."""
+    by_m = bytearray(3 * b - 1)
+    for m in gaps:
+        by_m[m] = 0xFE
+    return HeightPolynomial._of_gaps(leading_sign, b, bytes(by_m))
+
+
 def _moved_root(height: HeightPolynomial, j: int, step: int) -> HeightPolynomial | None:
     """height with root j moved into the neighbouring gap, one event up
     (step = 1) or down (step = -1); None when no gap lies there.  Moved
@@ -601,7 +637,7 @@ def _moved_root(height: HeightPolynomial, j: int, step: int) -> HeightPolynomial
     gaps[j] = ms[i]
     if gaps.count(ms[i]) == 2:
         gaps = [m for m in gaps if m != ms[i]]
-    return HeightPolynomial._of_gaps(height.leading_sign, height.b, tuple(gaps))
+    return _gap_height(height.leading_sign, height.b, gaps)
 
 
 def test_a_root_moved_to_a_neighbouring_gap_is_refused():
@@ -615,8 +651,9 @@ def test_a_root_moved_to_a_neighbouring_gap_is_refused():
                     continue
                 # exactly one event changes sign, so its crossing has strands of one sign
                 by_slices = _refusal(lambda z: verify_parametrization(r, _with_height(p, z)), height)
-                # decide_crossing's exact branch
+                # decide_crossing's exact branch, and the gap-list rule
                 assert by_slices == _refusal(lambda z: measure_crossings(3, p.b, z), height)
+                assert by_slices == _refusal(_gap_list_reading, height)
                 planted += 1
     assert planted > 4000
 
@@ -652,7 +689,7 @@ def test_a_flipped_leading_sign_gives_the_mirror_image():
     for r in _census_to(10):
         p = parametrization(r)
         h = p.height
-        flipped = _with_height(p, HeightPolynomial._of_gaps(-h.leading_sign, h.b, h.gaps))
+        flipped = _with_height(p, HeightPolynomial._of_gaps(-h.leading_sign, h.b, h._gaps_by_m))
         if is_amphicheiral(r.num, r.den):
             assert verify_parametrization(r, flipped) is True  # its own mirror image
         else:
@@ -664,11 +701,14 @@ def test_a_flipped_leading_sign_gives_the_mirror_image():
 @pytest.mark.parametrize("r", [Fraction(9, 2), Fraction(2001, 1)], ids=str)
 def test_copies_of_a_gap_height_rebuild_from_its_gaps(r):
     p = parametrization(r)
+    assert p.height.__reduce__()[1] == (p.height.leading_sign, p.b, p.height._gaps_by_m)  # pickle carries the bitmap
     clones = (copy.copy(p.height), copy.deepcopy(p.height), pickle.loads(pickle.dumps(p.height)))
-    for height in (p.height, *clones):  # no copy derives roots
-        with pytest.raises(AttributeError):
-            HeightPolynomial.roots.__get__(height)
+    for height in (p.height, *clones):  # no copy derives gaps or roots
+        for derived in (HeightPolynomial.gaps, HeightPolynomial.roots):
+            with pytest.raises(AttributeError):
+                derived.__get__(height)
     for clone in clones:
+        assert clone._gaps_by_m == p.height._gaps_by_m
         assert clone == p.height and verify_parametrization(r, _with_height(p, clone)) is True
 
 

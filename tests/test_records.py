@@ -55,13 +55,13 @@ CASES = [
         HeightPolynomial,
         ("roots", "leading_sign"),
         ((-0.5, 0.5), -1),
-        "HeightPolynomial(roots=(-0.5, 0.5), leading_sign=-1, b=None, gaps=None)",
+        "HeightPolynomial(roots=(-0.5, 0.5), leading_sign=-1, b=None, gaps=None, _gaps_by_m=None)",
     ),
     (
         Parametrization,
         ("b", "height", "crossing_number", "form", "mirrored"),
         (4, FLAT, 3, FORM, True),
-        "Parametrization(b=4, height=HeightPolynomial(roots=(), leading_sign=1, b=None, gaps=None), "
+        "Parametrization(b=4, height=HeightPolynomial(roots=(), leading_sign=1, b=None, gaps=None, _gaps_by_m=None), "
         "crossing_number=3, form=ConwayForm(signs=(1, 1, 1), b=4), mirrored=True)",
     ),
     (HarmonicSpec, ("a", "b", "c"), (3, 4, 5), "HarmonicSpec(a=3, b=4, c=5)"),
