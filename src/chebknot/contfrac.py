@@ -13,6 +13,7 @@ the expansion, the word, and the matrix are three views of the same object.
 
 from __future__ import annotations
 
+from array import array
 from math import gcd
 from operator import ne
 from typing import NamedTuple, Sequence
@@ -49,6 +50,13 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+    @classmethod
+    def _unchecked(cls, **values: object) -> Record:  # the record with these slot values, without __init__'s checks
+        record = object.__new__(cls)
+        for name, value in values.items():
+            object.__setattr__(record, name, value)
+        return record
 
     def __reduce__(self) -> tuple:  # pickle rebuilds through __init__ (HeightPolynomial overrides this)
         return type(self), self._values()
@@ -92,19 +100,13 @@ class Fraction(Record):
 
     @classmethod
     def parse(cls, text: str) -> "Fraction":
-        """Parse 'a/b', '-a/b' (minus applied to b) or a bare integer."""
-        s = text.strip()
+        """Parse 'a/b', '-a/b' (minus applied to b) or an integer, a and b ASCII digits; refuse other text."""
+        s = text.strip() if isinstance(text, str) else ""
         neg = s.startswith("-")
-        if neg:
-            s = s[1:]
-        if "/" in s:
-            a_str, b_str = s.split("/", 1)
-            num, den = int(a_str), int(b_str)
-        else:
-            num, den = int(s), 1
-        if neg:
-            den = -den
-        return cls(num, den)
+        a_str, slash, b_str = s[neg:].partition("/")
+        if not (s.isascii() and a_str.isdecimal() and (b_str.isdecimal() or not slash)):
+            raise ChebknotError(f"{text!r} is not a/b, -a/b or an integer")
+        return cls(int(a_str), (-1 if neg else 1) * (int(b_str) if slash else 1))
 
     # -- ordering (exact cross-multiplication) --------------------------
     def _cmp(self, other: "Fraction | int") -> int:
@@ -241,39 +243,59 @@ def crossing_number(r: Fraction) -> int:
     return sum(classical_expansion(r).quotients)
 
 
-def _regular_terms(a: int, b: int, s: int) -> tuple[list[int], int]:
-    """The one-regular expansion of a/b > 0 times s = +-1, and the sum N of
-    the classical quotients of a/b: one term list built by runs, one count."""
-    out: list[int] = []
+# the walk's blocks of terms times s as array('b') bytes (0x01 is +1, 0xff is -1), at index s = +1 or -1
+_P_RUN, _P_PAIR, _M_RUN, _M_PAIR, _P_STEP, _M_STEP = (
+    (b"", bytes(t % 256 for t in block), bytes(-t % 256 for t in block))
+    for block in ((1, 1, -1, -1, -1, 1), (1, 1, -1), (1, -1, -1, -1, 1, 1), (1, -1, -1), (1,), (1, -1))
+)
+
+
+def _regular_terms(a: int, b: int, s: int) -> tuple[bytearray, int]:
+    """The one-regular expansion of a/b > 0 times s = +-1 as array('b') bytes,
+    and the sum N of the classical quotients of a/b: both built by runs."""
+    out = bytearray()
     steps = 0  # one per subtraction of Euclid's algorithm, so N = steps + 1
     while a != b:
         if a > 2 * b:  # k P steps, each followed by an M step
             k = (a - 1) // (2 * b)
-            out += (s, s, -s, -s, -s, s) * (k // 2)
+            out += _P_RUN[s] * (k // 2)
             if k % 2:
-                out += (s, s, -s)
+                out += _P_PAIR[s]
                 s = -s
             a -= 2 * b * k
             steps += 2 * k
         elif b > 2 * a:  # k M steps, each followed by a P step
             k = (b - 1) // (2 * a)
-            out += (s, -s, -s, -s, s, s) * (k // 2)
+            out += _M_RUN[s] * (k // 2)
             if k % 2:
-                out += (s, -s, -s)
+                out += _M_PAIR[s]
                 s = -s
             b -= 2 * a * k
             steps += 2 * k
         elif a > b:
-            out.append(s)
+            out += _P_STEP[s]
             a, b = b, a - b
             steps += 1
         else:
-            out += (s, -s)
+            out += _M_STEP[s]
             s = -s
             a, b = b - a, a
             steps += 1
-    out.append(s)
+    out += _P_STEP[s]
     return out, steps + 1
+
+
+def _one_regular_signs(signs: bytes, error: type[ChebknotError] = NotOneRegular) -> tuple[int, ...]:
+    """array('b') sign bytes as terms, refused as _validate_one_regular does, error standing for NotOneRegular."""
+    if not signs:
+        raise EmptySequence("empty sign sequence")
+    if signs.translate(None, b"\x01\xff"):
+        raise error("terms must all be +1 or -1")
+    if len(signs) >= 2 and signs[-1] != signs[-2]:
+        raise error("last two terms must have equal sign")
+    if b"\x01\xff\x01" in signs or b"\xff\x01\xff" in signs:
+        raise error("two consecutive sign changes")
+    return tuple(array("b", signs))
 
 
 def regular_expansion(r: Fraction) -> RegularCF:
@@ -292,7 +314,7 @@ def regular_expansion(r: Fraction) -> RegularCF:
         raise ChebknotError(f"need a Fraction to expand, not {r!r}")
     if not r.is_positive:
         raise NonPositiveInput(f"{r} is not a positive fraction")
-    return RegularCF(_regular_terms(r.num, r.den, 1)[0])
+    return RegularCF._unchecked(terms=_one_regular_signs(_regular_terms(r.num, r.den, 1)[0]))
 
 
 def cn_from_regular(cf: RegularCF) -> int:

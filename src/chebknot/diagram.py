@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, crossing_number, eval_cf
-from .contfrac import _pgp_inner, _regular_terms, _validate_one_regular
+from .contfrac import _one_regular_signs, _pgp_inner, _regular_terms, _validate_one_regular
 from .errors import (
     ChebknotError,
     InvalidForm,
@@ -205,13 +205,13 @@ def minimal_diagram(r: Fraction) -> MinimalDiagram:
     return _minimal_diagram(r)[0]
 
 
-def _minimal_diagram(r: Fraction) -> tuple[MinimalDiagram, int]:
-    """minimal_diagram(r) with the crossing number N of S(r).
+def _minimal_diagram(r: Fraction) -> tuple[MinimalDiagram, int, bytearray]:
+    """minimal_diagram(r), the crossing number N of S(r) and the form's signs as array('b') bytes.
 
     The run walk contfrac._regular_terms gives the own expansion and N;
     the two expansion lengths add up to 3N - 2, so the conjugate
     expansion, negated by the walk itself, is built only when it is the
-    shorter one.
+    shorter one.  The winner's bytes are checked once, with ConwayForm's refusals.
     """
     if not (r.is_positive and r > 1):
         raise NotGreaterThanOne(f"{r} is not > 1")
@@ -227,10 +227,13 @@ def _minimal_diagram(r: Fraction) -> tuple[MinimalDiagram, int]:
         if len(terms) != other:
             raise ChebknotError(f"expansion lengths of {r} do not add up to 3N - 2")
         mirrored = True
-    form = ConwayForm(terms, len(terms) + 1)  # validates the winner, once
-    if not (n_cross < form.b and 2 * form.b < 3 * n_cross):
+    b = len(terms) + 1
+    if b % 3 == 0:
+        raise InvalidForm(f"b = {b!r} is not a valid diagram degree")
+    form = ConwayForm._unchecked(signs=_one_regular_signs(terms, InvalidForm), b=b)
+    if not (n_cross < b and 2 * b < 3 * n_cross):
         raise ChebknotError(f"diagram degree bound violated for {r}")
-    return MinimalDiagram(form, form.b, mirrored), n_cross
+    return MinimalDiagram(form, b, mirrored), n_cross, terms
 
 
 def is_minimal_by_word(r: Fraction) -> bool:

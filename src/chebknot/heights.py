@@ -54,9 +54,9 @@ class GaussSequence(Record):
         return len(self.signs)
 
 
-def _gauss_signs(form: ConwayForm) -> bytearray:
-    """The Gauss signs of C(3, b) under a Conway form by m in range(3b),
-    one array('b') byte per sign and 0 where m is not an event.
+def _gauss_signs(b: int, twists: bytes) -> bytearray:
+    """The Gauss signs of C(3, b) under a Conway form's twist signs, both as array('b')
+    bytes, by m in range(3b): one byte per sign and 0 where m is not an event.
 
     The twist sign at decreasing-x slot i asks for the sign
     (-1)^i * twist * xy_sign of z(t) - z(s) at that crossing, by the
@@ -64,7 +64,6 @@ def _gauss_signs(form: ConwayForm) -> bytearray:
     negative at s.  Along each of diagram._a3_families that is c * twist
     at m_t, so each family's signs are one slice of the form's.
     """
-    b, twists = form.b, array("b", form.signs).tobytes()
     negated = twists.translate(_NEG)
     by_m = bytearray(3 * b)
     for first, c, at_t, at_s in _a3_families(b):
@@ -103,7 +102,8 @@ def gauss_sequence(form: ConwayForm) -> GaussSequence:
     from the three crossing families by slices."""
     if not isinstance(form, ConwayForm):
         raise ChebknotError(f"need a ConwayForm, not {form!r}")
-    return GaussSequence(array("b", _gauss_signs(form).translate(None, b"\0")), form.b)
+    by_m = _gauss_signs(form.b, array("b", form.signs).tobytes())
+    return GaussSequence(array("b", by_m.translate(None, b"\0")), form.b)
 
 
 def count_sign_changes(g: GaussSequence) -> int:
@@ -139,10 +139,10 @@ class HeightPolynomial(Record):
     @classmethod
     def _of_gaps(cls, leading_sign: int, b: int, gaps_by_m: bytes) -> HeightPolynomial:
         """The height on C(3, b) with _height's gap bitmap, unchecked."""
-        height = object.__new__(cls)
-        for name, value in (("leading_sign", leading_sign), ("b", b), ("_gaps_by_m", gaps_by_m)):
-            object.__setattr__(height, name, value)
-        return height
+        return cls._unchecked(leading_sign=leading_sign, b=b, _gaps_by_m=gaps_by_m)
+
+    def _values(self) -> tuple:  # == and hash decide a gap height by its bitmap, deriving neither gaps nor roots
+        return super()._values() if self.b is None else (self.leading_sign, self.b, self._gaps_by_m)
 
     def __reduce__(self) -> tuple:  # pickle rebuilds a gap height from its bitmap, leaving gaps and roots unread
         if self.b is None:
@@ -296,8 +296,8 @@ def parametrization(r: Fraction) -> Parametrization:
         raise ChebknotError(f"need a Fraction to parametrize, not {r!r}")
     if r.is_positive and not r.is_knot:
         raise IsLink(f"{r} defines a two-component link")
-    md, n_cross = _minimal_diagram(r)
-    height = _height(md.b, _gauss_signs(md.form), is_amphicheiral(r.num, r.den))
+    md, n_cross, twists = _minimal_diagram(r)
+    height = _height(md.b, _gauss_signs(md.b, twists), is_amphicheiral(r.num, r.den))
     if md.b + height.degree != 3 * n_cross:
         raise ChebknotError(f"degree identity violated for {r}")
     return Parametrization(md.b, height, n_cross, md.form, md.mirrored)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from array import array
 from fractions import Fraction as StdFraction
 from itertools import chain, product
 from math import gcd
@@ -24,6 +26,7 @@ from chebknot.contfrac import (
     Mat2,
     PMWord,
     RegularCF,
+    _one_regular_signs,
     _regular_terms,
     _validate_one_regular,
     classical_expansion,
@@ -50,6 +53,7 @@ from chebknot.errors import (
     WrongLeadingSigns,
     ZeroQuotient,
 )
+from chebknot.heights import _NEG
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +72,15 @@ def test_fraction_parse_applies_minus_to_denominator():
     assert Fraction.parse("9/7") == Fraction(9, 7)
     assert Fraction.parse("5") == Fraction(5, 1)
     assert Fraction.parse("-5") == Fraction(5, -1)
+    assert Fraction.parse(" 1000001/1\n") == Fraction(1000001, 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["x", "", "9/2/3", "--9/2", "9/", "/2", "9/-2", "+9/2", "9 /2", "1_0/3", "\u0669/2", None, 9]
+)
+def test_fraction_parse_refuses_what_is_not_a_fraction(text):
+    with pytest.raises(ChebknotError, match="is not a/b, -a/b or an integer"):
+        Fraction.parse(text)
 
 
 def test_fraction_ordering():
@@ -264,6 +277,32 @@ def test_validation_and_sign_changes_match_the_generator_rules():
     assert accepted > 1000
 
 
+def test_the_byte_rule_matches_the_generator_rules():
+    sequences = chain(
+        chain.from_iterable(product(b"\x01\xff", repeat=n) for n in range(15)),
+        chain.from_iterable(product(b"\x00\x01\x02\xff", repeat=n) for n in range(9)),
+    )
+    accepted = 0
+    for seq in sequences:
+        signs, terms = bytes(seq), tuple(array("b", bytes(seq)))
+        try:
+            assert _one_regular_signs(signs) == terms, terms
+            verdict = None
+        except ChebknotError as exc:
+            verdict = (type(exc), str(exc))
+        assert verdict == _generator_rule_verdict(terms), terms
+        accepted += verdict is None
+    assert accepted > 1000
+
+
+def test_expansion_builds_the_record_its_terms_build():
+    for alpha, beta in coprime_pairs(60):
+        cf = regular_expansion(Fraction(alpha, beta))
+        ref = RegularCF(cf.terms)
+        assert set(map(type, cf.terms)) == {int}
+        assert (cf, hash(cf), repr(cf), pickle.dumps(cf)) == (ref, hash(ref), repr(ref), pickle.dumps(ref))
+
+
 def test_expansion_starts_with_two_plus_ones_iff_greater_than_one():
     for alpha, beta in coprime_pairs(60):
         up = regular_expansion(Fraction(alpha, beta)).terms
@@ -327,14 +366,15 @@ def _check_run_walk(alpha: int, beta: int) -> None:
     """The run walk of alpha/beta against the step loop, crossing_number,
     cn_from_regular, and its own negation at s = -1."""
     terms, n = _regular_terms(alpha, beta, 1)
-    assert terms == _step_loop_expansion(alpha, beta), (alpha, beta)
+    assert type(terms) is bytearray
+    assert terms == array("b", _step_loop_expansion(alpha, beta)).tobytes(), (alpha, beta)
     if alpha != beta:  # alpha/beta and beta/alpha have one quotient sum
         assert n == crossing_number(Fraction(max(alpha, beta), min(alpha, beta))), (alpha, beta)
     else:
         assert n == 1
     if alpha > beta:
-        assert n == cn_from_regular(RegularCF(terms)), (alpha, beta)
-    assert _regular_terms(alpha, beta, -1) == ([-t for t in terms], n), (alpha, beta)
+        assert n == cn_from_regular(RegularCF(array("b", terms))), (alpha, beta)
+    assert _regular_terms(alpha, beta, -1) == (terms.translate(_NEG), n), (alpha, beta)
 
 
 def test_run_walk_matches_the_step_loop_exhaustively():
@@ -358,17 +398,18 @@ def test_run_walk_matches_the_step_loop_up_to_10_12(alpha, beta):
     _check_run_walk(alpha, beta)
 
 
-def _step_loop_minimal_diagram(alpha: int, beta: int) -> tuple[MinimalDiagram, int]:
+def _step_loop_minimal_diagram(alpha: int, beta: int) -> tuple[MinimalDiagram, int, bytes]:
     """The own/conjugate rule on step-loop expansions: the shorter of the
     expansions of alpha/beta and alpha/(alpha - beta) wins, the conjugate
-    negated and mirrored."""
+    negated and mirrored; with N and the form's signs as array('b') bytes."""
     own = _step_loop_expansion(alpha, beta)
     conj = _step_loop_expansion(alpha, alpha - beta)
     if len(own) < len(conj):
         form, mirrored = ConwayForm(own, len(own) + 1), False
     else:
         form, mirrored = ConwayForm([-t for t in conj], len(conj) + 1), True
-    return MinimalDiagram(form, form.b, mirrored), crossing_number(Fraction(alpha, beta))
+    twists = array("b", form.signs).tobytes()
+    return MinimalDiagram(form, form.b, mirrored), crossing_number(Fraction(alpha, beta)), twists
 
 
 def test_minimal_diagram_matches_the_step_loop_rule():

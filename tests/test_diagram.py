@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from math import gcd
@@ -13,13 +15,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_euclid_oracle, fractions_with_crossing_number_up_to
+from conftest import bench_inputs, classical_euclid_oracle, fractions_with_crossing_number_up_to
 from chebknot import diagram
 from chebknot.bridge import canonicalize, stevedore_fraction, torus_fraction, twist_fraction
 from chebknot.contfrac import Fraction, eval_cf, regular_expansion
 from chebknot.diagram import (
     ConwayForm,
     CrossingPoint,
+    _minimal_diagram,
     conway_reversal_check,
     enumerate_crossings,
     is_minimal_by_word,
@@ -392,6 +395,36 @@ def test_minimal_diagram_bounds_and_knot_class():
         # the emitted form evaluates to a fraction of the same knot
         value = eval_cf(md.form.signs)
         assert canonicalize(value.num, value.den) == canonicalize(alpha, beta)
+
+
+def test_the_built_form_is_the_form_its_signs_build():
+    inputs = bench_inputs()
+    knots = [(a, b) for a, b, _ in inputs.census_knots()] + [(a, b) for a, b, *_ in inputs.giants(7)]
+    for alpha, beta in knots:
+        md, _, twists = _minimal_diagram(Fraction(alpha, beta))
+        form, ref = md.form, ConwayForm(md.form.signs, md.form.b)
+        assert type(form.signs) is tuple and set(map(type, form.signs)) == {int}
+        assert twists == array("b", form.signs).tobytes()
+        assert (form, hash(form), repr(form)) == (ref, hash(ref), repr(ref)), (alpha, beta)
+        assert pickle.dumps(form) == pickle.dumps(ref) and pickle.loads(pickle.dumps(form)) == ref
+
+
+@pytest.mark.parametrize("twists", [
+    b"\x01\x01\x01\xff\xff",  # b = 6
+    b"\x01\x01\x01\x00\xff\xff\xff",
+    b"\x01\x01\x02\xff\xff\xff\xff",
+    b"\x01\x01\x01\xff\xff\xff\x01",
+    b"\x01\xff\x01\xff\xff\xff\xff",
+], ids=bytes.hex)
+def test_a_refused_walk_is_refused_as_conway_form_refuses_it(monkeypatch, twists):
+    # 9/7 (N = 6) with its own expansion of 7 terms replaced by shorter ones
+    walk = diagram._regular_terms
+    monkeypatch.setattr(diagram, "_regular_terms", lambda a, b, s: (bytearray(twists), 6) if s == 1 else walk(a, b, s))
+    with pytest.raises(InvalidForm) as want:
+        ConwayForm(tuple(array("b", twists)), len(twists) + 1)
+    with pytest.raises(InvalidForm) as got:
+        minimal_diagram(Fraction(9, 7))
+    assert (got.type, str(got.value)) == (want.type, str(want.value))
 
 
 def test_expansion_lengths_add_up_to_3n_minus_2():

@@ -156,6 +156,19 @@ def _assert_derived_roots_are_the_eager_midpoints(r: Fraction) -> Parametrizatio
     return p
 
 
+def test_comparing_gap_heights_derives_no_roots():
+    height = parametrization(Fraction(200001, 1)).height
+    clone = pickle.loads(pickle.dumps(height))
+    assert clone == height and hash(clone) == hash(height) and clone != parametrization(Fraction(199999, 1)).height
+    for h in (height, clone):
+        for derived in (HeightPolynomial.gaps, HeightPolynomial.roots):
+            with pytest.raises(AttributeError):
+                derived.__get__(h)
+    small = parametrization(Fraction(9, 7)).height
+    floats = HeightPolynomial(small.roots, small.leading_sign)
+    assert floats != small and small != floats
+
+
 def _random_one_regular(rng: random.Random, n: int) -> tuple[int, ...]:
     """n signs with no two consecutive sign changes and the last two equal."""
     signs = [rng.choice((1, -1))]
@@ -300,9 +313,14 @@ def _assert_heights_equal_the_tuple_rules(signs: tuple[int, ...], b: int, amphic
     assert got == expected, (signs, b, amphicheiral)
 
 
+def _twist_bytes(form: ConwayForm) -> bytes:
+    """A form's twist signs as the array('b') bytes _gauss_signs takes."""
+    return array("b", form.signs).tobytes()
+
+
 def _assert_kernel_equals_the_tuple_rules(form: ConwayForm, amphicheiral_flags=(False, True)) -> None:
     want = _tuple_gauss_signs(form)
-    assert _gauss_signs(form) == _by_m(want, form.b), form
+    assert _gauss_signs(form.b, _twist_bytes(form)) == _by_m(want, form.b), form
     assert gauss_sequence(form).signs == want, form
     for amph in amphicheiral_flags:
         _assert_heights_equal_the_tuple_rules(want, form.b, amph)
@@ -347,7 +365,7 @@ def test_sign_bytes_equal_the_tuple_rules_on_amphicheiral_forms(quotients):
     form = minimal_diagram(r).form
     assume(form.b <= 3001)
     _assert_kernel_equals_the_tuple_rules(form)
-    assert _height(form.b, _gauss_signs(form), True).degree % 2 == 1
+    assert _height(form.b, _gauss_signs(form.b, _twist_bytes(form)), True).degree % 2 == 1
 
 
 @pytest.mark.parametrize("b", [2, 4, 5, 7])
@@ -384,7 +402,7 @@ def test_both_gauss_rules_refuse_families_that_share_a_parameter(monkeypatch):
     monkeypatch.setitem(globals(), "_a3_families", shared)
     expected = (ChebknotError, "crossing parameters are not distinct")
     assert _outcome(_tuple_gauss_signs, form) == expected
-    assert _outcome(_gauss_signs, form) == expected
+    assert _outcome(_gauss_signs, form.b, _twist_bytes(form)) == expected
     assert _outcome(gauss_sequence, form) == expected
 
 
