@@ -141,21 +141,31 @@ class Fraction(Record):
         return f"{self.num}/{self.den}"
 
 
-def _all_plus_or_minus_one(terms: tuple[int, ...]) -> bool:
-    # count compares with ==, so True and 1.0 would pass it without the type test
-    return set(map(type, terms)) <= {int} and terms.count(1) + terms.count(-1) == len(terms)
+# +-1 terms as array('b') bytes: 0x01 is +1 and 0xff is -1
+_NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # negates sign bytes
 
 
-def _validate_one_regular(terms: tuple[int, ...]) -> None:
-    n = len(terms)
-    if n == 0:
+def _sign_bytes(terms: tuple) -> bytes:
+    """terms as array('b') bytes, or the byte 0, which every +-1 check refuses,
+    when a term is not an exact int (True is out) in -128..127."""
+    try:
+        return array("b", terms).tobytes() if set(map(type, terms)) <= {int} else b"\0"
+    except OverflowError:
+        return b"\0"
+
+
+def _one_regular_signs(signs: bytes, error: type[ChebknotError] = NotOneRegular) -> tuple[int, ...]:
+    """The one-regular rule: array('b') sign bytes as terms, refused when empty, not all +-1,
+    ending in a sign change or changing sign twice in a row, error standing for NotOneRegular."""
+    if not signs:
         raise EmptySequence("empty sign sequence")
-    if not _all_plus_or_minus_one(terms):
-        raise NotOneRegular("terms must all be +1 or -1")
-    if n >= 2 and terms[-1] * terms[-2] < 0:
-        raise NotOneRegular("last two terms must have equal sign")
-    if b"\x01\x01" in bytes(map(ne, terms, terms[1:])):
-        raise NotOneRegular("two consecutive sign changes")
+    if signs.translate(None, b"\x01\xff"):
+        raise error("terms must all be +1 or -1")
+    if len(signs) >= 2 and signs[-1] != signs[-2]:
+        raise error("last two terms must have equal sign")
+    if b"\x01\xff\x01" in signs or b"\xff\x01\xff" in signs:
+        raise error("two consecutive sign changes")
+    return tuple(array("b", signs))
 
 
 class RegularCF(Record):
@@ -164,8 +174,7 @@ class RegularCF(Record):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Sequence[int]) -> None:
-        object.__setattr__(self, "terms", tuple(terms))
-        _validate_one_regular(self.terms)
+        object.__setattr__(self, "terms", _one_regular_signs(_sign_bytes(tuple(terms))))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -243,7 +252,7 @@ def crossing_number(r: Fraction) -> int:
     return sum(classical_expansion(r).quotients)
 
 
-# the walk's blocks of terms times s as array('b') bytes (0x01 is +1, 0xff is -1), at index s = +1 or -1
+# the walk's blocks of terms times s as sign bytes, at index s = +1 or -1
 _P_RUN, _P_PAIR, _M_RUN, _M_PAIR, _P_STEP, _M_STEP = (
     (b"", bytes(t % 256 for t in block), bytes(-t % 256 for t in block))
     for block in ((1, 1, -1, -1, -1, 1), (1, 1, -1), (1, -1, -1, -1, 1, 1), (1, -1, -1), (1,), (1, -1))
@@ -285,19 +294,6 @@ def _regular_terms(a: int, b: int, s: int) -> tuple[bytearray, int]:
     return out, steps + 1
 
 
-def _one_regular_signs(signs: bytes, error: type[ChebknotError] = NotOneRegular) -> tuple[int, ...]:
-    """array('b') sign bytes as terms, refused as _validate_one_regular does, error standing for NotOneRegular."""
-    if not signs:
-        raise EmptySequence("empty sign sequence")
-    if signs.translate(None, b"\x01\xff"):
-        raise error("terms must all be +1 or -1")
-    if len(signs) >= 2 and signs[-1] != signs[-2]:
-        raise error("last two terms must have equal sign")
-    if b"\x01\xff\x01" in signs or b"\xff\x01\xff" in signs:
-        raise error("two consecutive sign changes")
-    return tuple(array("b", signs))
-
-
 def regular_expansion(r: Fraction) -> RegularCF:
     """The unique one-regular +-1 expansion of a positive rational.
 
@@ -322,6 +318,8 @@ def cn_from_regular(cf: RegularCF) -> int:
 
     Equals the term count minus the number of sign changes.
     """
+    if not isinstance(cf, RegularCF):
+        raise ChebknotError(f"need a RegularCF, not {cf!r}")
     t = cf.terms
     if len(t) < 2 or t[0] != 1 or t[1] != 1:
         raise WrongLeadingSigns("expansion must start with two +1 terms")
@@ -333,6 +331,7 @@ def cn_from_regular(cf: RegularCF) -> int:
 # ---------------------------------------------------------------------------
 
 _SWAP = str.maketrans("PM", "MP")
+_P_OF_SIGN = bytes.maketrans(b"\x01\xff", b"PP")  # a sign byte left over by pm_word's couples
 
 
 class Mat2(Record):
@@ -401,22 +400,11 @@ class PMWord(Record):
         num, den = self.matrix().apply(1, 0)
         return Fraction(num, den)
 
-    def terms(self) -> tuple[int, ...]:
-        """The +-1 sequence this word spells: P gives one term, M two."""
-        out: list[int] = []
-        s = 1
-        for ch in self.letters:
-            if ch == "P":
-                out.append(s)
-            else:
-                out.append(s)
-                out.append(-s)
-                s = -s
-        return tuple(out)
-
 
 def word_to_matrix(w: PMWord) -> Mat2:
     """Ordered product of the letter matrices P = [[1,1],[1,0]], M = [[0,1],[1,1]]."""
+    if not isinstance(w, PMWord):
+        raise ChebknotError(f"need a PMWord, not {w!r}")
     a, b, c, d = 1, 0, 0, 1
     for ch in w.letters:
         if ch == "P":
@@ -431,22 +419,16 @@ def pm_word(cf: RegularCF) -> PMWord:
 
     Each sign-changing couple becomes an M, every remaining term a P, so
     the length n and crossing number satisfy n = p + 2m and cn = p + m.
+    One-regular couples never overlap, so each is one bytes.replace match.
     Words evaluate to positive rationals, so the expansion must lead with
     +1 (negated expansions have no word).
     """
-    t = cf.terms
-    if t[0] != 1:
+    if not isinstance(cf, RegularCF):
+        raise ChebknotError(f"need a RegularCF, not {cf!r}")
+    if cf.terms[0] != 1:
         raise NotOneRegular("only positive-valued expansions have a word")
-    letters: list[str] = []
-    i = 0
-    while i < len(t):
-        if i + 1 < len(t) and t[i] * t[i + 1] < 0:
-            letters.append("M")
-            i += 2
-        else:
-            letters.append("P")
-            i += 1
-    return PMWord("".join(letters))
+    couples = array("b", cf.terms).tobytes().replace(b"\x01\xff", b"M").replace(b"\xff\x01", b"M")
+    return PMWord(couples.translate(_P_OF_SIGN).decode())
 
 
 def _pgp_inner(r: Fraction) -> PMWord:
@@ -489,6 +471,8 @@ def parity_class(cf: RegularCF) -> int:
     n = 2 mod 3 forces an even numerator (a link); n = 0 mod 3 an even
     denominator; n = 1 mod 3 both odd.  The correspondence is checked.
     """
+    if not isinstance(cf, RegularCF):
+        raise ChebknotError(f"need a RegularCF, not {cf!r}")
     r = cf.fraction()
     if not r.is_positive:
         raise NonPositiveInput("expansion must evaluate to a positive fraction")

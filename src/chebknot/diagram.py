@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .contfrac import Fraction, Record, crossing_number, eval_cf
-from .contfrac import _one_regular_signs, _pgp_inner, _regular_terms, _validate_one_regular
+from .contfrac import _one_regular_signs, _pgp_inner, _regular_terms, _sign_bytes
 from .errors import (
     ChebknotError,
     InvalidForm,
@@ -28,7 +28,6 @@ from .errors import (
     LengthMismatch,
     NotCoprime,
     NotGreaterThanOne,
-    NotOneRegular,
 )
 from .trig import sin_sign
 
@@ -169,16 +168,13 @@ class ConwayForm(Record):
     __slots__ = ("signs", "b")
 
     def __init__(self, signs: Sequence[int], b: int) -> None:
-        object.__setattr__(self, "signs", tuple(signs))
-        object.__setattr__(self, "b", b)
+        signs = tuple(signs)
         if type(b) is not int or b < 2 or b % 3 == 0:
             raise InvalidForm(f"b = {b!r} is not a valid diagram degree")
-        if len(self.signs) != b - 1:
+        if len(signs) != b - 1:
             raise InvalidForm("need exactly b - 1 signs")
-        try:
-            _validate_one_regular(self.signs)
-        except NotOneRegular as exc:
-            raise InvalidForm(str(exc)) from exc
+        object.__setattr__(self, "signs", _one_regular_signs(_sign_bytes(signs), InvalidForm))
+        object.__setattr__(self, "b", b)
 
     def text(self) -> str:
         return "C(" + ",".join(str(s) for s in self.signs) + ")"

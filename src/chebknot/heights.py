@@ -18,12 +18,11 @@ from itertools import compress, count, islice, repeat
 from operator import ne, neg
 from typing import Sequence
 
-from .contfrac import Fraction, Record, _all_plus_or_minus_one, is_amphicheiral
+from .contfrac import _NEG, Fraction, Record, _sign_bytes, is_amphicheiral
 from .diagram import PARAMETER_ERROR, ConwayForm, CrossingPoint, _minimal_diagram, _parameters
 from .diagram import _a3_crossing, _a3_events, _a3_families, _a3_next_event
 from .errors import AmbiguousCrossing, ChebknotError, IsLink
 
-_NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # negates signs held as array('b') bytes
 
 class GaussSequence(Record):
     """Over/under signs (+1 over, -1 under) of the diagram C(3, b) at its
@@ -39,7 +38,7 @@ class GaussSequence(Record):
             raise ChebknotError("need a degree b >= 2 prime to 3")
         if len(self.signs) != 2 * (b - 1):
             raise ChebknotError(f"need 2(b - 1) = {2 * (b - 1)} signs for C(3, {b})")
-        if not _all_plus_or_minus_one(self.signs):
+        if _sign_bytes(self.signs).translate(None, b"\x01\xff"):
             raise ChebknotError("event signs must all be +1 or -1")
 
     @property
@@ -103,7 +102,8 @@ def gauss_sequence(form: ConwayForm) -> GaussSequence:
     if not isinstance(form, ConwayForm):
         raise ChebknotError(f"need a ConwayForm, not {form!r}")
     by_m = _gauss_signs(form.b, array("b", form.signs).tobytes())
-    return GaussSequence(array("b", by_m.translate(None, b"\0")), form.b)
+    # a form's signs are +-1 and _gauss_signs counts the events, so GaussSequence's checks would repeat
+    return GaussSequence._unchecked(signs=tuple(array("b", by_m.translate(None, b"\0"))), b=form.b)
 
 
 def count_sign_changes(g: GaussSequence) -> int:

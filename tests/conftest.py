@@ -3,7 +3,9 @@
 These helpers deliberately avoid the package's own code paths: continued
 fractions are evaluated with the stdlib Fraction type, expansions are found
 by brute enumeration, and knot enumeration goes through compositions of the
-crossing number.
+crossing number.  The one exception is the sweep of C(3, b) crossing tables
+at the end, which shares each table among the checks the test modules make
+of it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from fractions import Fraction as StdFraction
 from itertools import product
 from math import gcd
 from pathlib import Path
+
+import pytest
 
 
 def eval_cf_oracle(terms) -> StdFraction:
@@ -98,3 +102,41 @@ def bench_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# Checks of enumerate_crossings(3, b) over every b < 3000 prime to 3, which
+# the test modules register with @a3_table_check.  Those tables hold about
+# three million rows in all, too many to keep, so one sweep builds each
+# table once and hands it to every registered check in turn.
+_A3_TABLE_CHECKS: list = []
+
+
+def a3_table_check(check):
+    """Register check(b, rows), which must not change rows, for the sweep."""
+    _A3_TABLE_CHECKS.append(check)
+    return check
+
+
+@pytest.fixture(scope="session")
+def a3_table_sweep():
+    """Run every registered check in one sweep and return a function that
+    raises the first exception a check raised, or returns."""
+    from chebknot.diagram import enumerate_crossings
+
+    failures = dict.fromkeys(_A3_TABLE_CHECKS)
+    for b in range(2, 3000):
+        if b % 3 == 0:
+            continue
+        rows = enumerate_crossings(3, b)
+        for check in _A3_TABLE_CHECKS:
+            if failures[check] is None:
+                try:
+                    check(b, rows)
+                except Exception as exc:  # reported by the check's own test
+                    failures[check] = exc
+
+    def passed(check) -> None:
+        if failures[check] is not None:
+            raise failures[check]
+
+    return passed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -312,6 +313,36 @@ def test_module_entry_point_matches_in_process(capsys):
     code, out, _ = run(capsys, "expand", "9/7", "--format", "json")
     assert (proc.returncode, proc.stderr) == (0, "") and code == 0
     assert proc.stdout == out and json.loads(out)["fraction"] == "9/7"
+
+
+# SHA-256 of stdout, text then --format json.  expand and diagram print the
+# sign strings, param and verify the height and its measured crossings; a
+# change to any of these bytes must be deliberate.
+CLI_DIGESTS = {
+    ("expand", "9/2"): ("716e2b97b6a24147ceddcf894f426bcdfaa7c6479a6ab63ca4ecd5882e88082e",
+                        "cf34b7cbea7ed55123ef560be8106c25223705527bd6a297ead86fc171e90b67"),
+    ("expand", "2001/1"): ("a6669111f9236dfb26c45b14d7c3b97bb95532f9390126930aa3ed29e3778a74",
+                           "2e130612a0e91c0c2e2eb8646f8b2288e6955fa377ccbbec13833d45827c8d69"),
+    ("diagram", "9/2"): ("8e01a4b01200e9933904c2c037ffb30105a80026f5723904af8e108604ae7f44",
+                         "dd82a29b8a9d6875ff4592aad63cb29659c79804722f8c0e5700ca5c99c91615"),
+    ("diagram", "2001/1"): ("3c2d624421041f457660864130f6ac22b972bd8f0c994d1e3c090e5986544b1c",
+                            "b8b6a70b34c08012043f45ec60552ee45e12a1a4fadf935929ab2f4b60cce4f2"),
+    ("param", "9/2"): ("d46ed91ef3facae5fde7849e4a63be4e1633e59dbe2e0c9797976d7f64234991",
+                       "e3f8da9016c5c29cfcb434a58b9a5133ee9492c66a235d75d6fdf8d5f76e4bf8"),
+    ("param", "2001/1"): ("3321b18d2e71e70cc53f4efac70e3307d044f672619a5a68d877b95d16f0ebcc",
+                          "91204cdd984c2a3404756b5f880c68eae3443e0d8ef657525f7c933a4cbb32da"),
+    ("verify", "9/2"): ("36eb80a01f4120e79577b316ad21127405665744d895e5a36875e28510909bbd",
+                        "8dcf5534233af1fd351486b07afa5ab6fd23f443d91312005aa24ad5a3b2e27b"),
+    ("verify", "2001/1"): ("db89976320a6007d1a9bbc55418722258355105408954e8c130196fb01080953",
+                           "065810c07044f2caf46348b01b5b430b0d489e330e137588f8e5e8a17dd4e54d"),
+}
+
+
+@pytest.mark.parametrize("verb, fraction", list(CLI_DIGESTS))
+def test_cli_output_bytes_match_the_pinned_digests(capsys, verb, fraction):
+    for fmt, digest in zip(((), ("--format", "json")), CLI_DIGESTS[verb, fraction]):
+        code, out, _ = run(capsys, verb, fraction, *fmt)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (verb, fraction, fmt)
 
 
 def test_canonical_harmonic_is_the_only_dataclass():

@@ -26,9 +26,9 @@ from chebknot.contfrac import (
     Mat2,
     PMWord,
     RegularCF,
+    _NEG,
     _one_regular_signs,
     _regular_terms,
-    _validate_one_regular,
     classical_expansion,
     cn_from_regular,
     conjugate_fractions,
@@ -46,6 +46,7 @@ from chebknot.errors import (
     ChebknotError,
     DivisionByZeroTail,
     EmptySequence,
+    InvalidForm,
     NonPositiveInput,
     NotGreaterThanOne,
     NotOneRegular,
@@ -53,7 +54,7 @@ from chebknot.errors import (
     WrongLeadingSigns,
     ZeroQuotient,
 )
-from chebknot.heights import _NEG
+from chebknot.heights import GaussSequence
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +244,8 @@ def test_regular_cf_refuses_terms_that_are_not_ints():
 
 
 def _generator_rule_verdict(terms) -> tuple | None:
-    """One-regularity by generator rules, with _validate_one_regular's error
-    and message: the reference its C-level checks must match."""
+    """One-regularity by generator rules, with RegularCF's error and
+    message: the reference the byte rule must match."""
     n = len(terms)
     if n == 0:
         return (EmptySequence, "empty sign sequence")
@@ -265,7 +266,7 @@ def test_validation_and_sign_changes_match_the_generator_rules():
     accepted = 0
     for terms in sequences:
         try:
-            _validate_one_regular(terms)
+            RegularCF(terms)
             verdict = None
         except ChebknotError as exc:
             verdict = (type(exc), str(exc))
@@ -275,6 +276,24 @@ def test_validation_and_sign_changes_match_the_generator_rules():
             changes = sum(1 for i in range(len(terms) - 1) if terms[i] * terms[i + 1] < 0)
             assert RegularCF(terms).sign_changes == changes, terms
     assert accepted > 1000
+
+
+def _refusal(build, *args) -> tuple:
+    """The exact class and message build(*args) raises."""
+    with pytest.raises(ChebknotError) as exc:
+        build(*args)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("term", [200, -129, 10**400, True, 1.0])
+def test_a_term_that_is_no_int_sign_byte_is_refused_as_not_plus_or_minus_one(term):
+    # each becomes a byte that the one +-1 check refuses, wherever it stands
+    for at in range(4):
+        signs = [1, 1, 1, 1]
+        signs[at] = term
+        assert _refusal(RegularCF, signs) == (NotOneRegular, "terms must all be +1 or -1")
+        assert _refusal(ConwayForm, signs, 5) == (InvalidForm, "terms must all be +1 or -1")
+        assert _refusal(GaussSequence, signs * 2, 5) == (ChebknotError, "event signs must all be +1 or -1")
 
 
 def test_the_byte_rule_matches_the_generator_rules():
@@ -488,10 +507,32 @@ def test_pm_word_rejects_negated_expansions():
         pm_word(RegularCF((-1, -1, -1)))
 
 
+def _word_terms(w: PMWord) -> tuple[int, ...]:
+    """The +-1 sequence a word spells, P one term and M two, term by term:
+    the reference pm_word's byte replacements are checked against."""
+    out: list[int] = []
+    s = 1
+    for ch in w.letters:
+        if ch == "P":
+            out.append(s)
+        else:
+            out.append(s)
+            out.append(-s)
+            s = -s
+    return tuple(out)
+
+
 def test_word_terms_inverts_pm_word():
-    for alpha, beta in coprime_pairs(60):
-        cf = regular_expansion(Fraction(alpha, beta))
-        assert pm_word(cf).terms() == cf.terms
+    expansions = (regular_expansion(Fraction(alpha, beta)) for alpha, beta in coprime_pairs(60))
+    for cf in chain(expansions, map(RegularCF, one_regular_sequences(14))):
+        assert _word_terms(pm_word(cf)) == cf.terms, cf
+
+
+@pytest.mark.parametrize("call", [pm_word, cn_from_regular, parity_class, word_to_matrix])
+def test_word_layer_refuses_what_is_not_its_record(call):
+    for arg in ("x", None, (1, 1)):
+        with pytest.raises(ChebknotError, match="^need a (RegularCF|PMWord), not "):
+            call(arg)
 
 
 def test_word_degree_identities():

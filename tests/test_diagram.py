@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_inputs, classical_euclid_oracle, fractions_with_crossing_number_up_to
+from conftest import a3_table_check, bench_inputs, classical_euclid_oracle, fractions_with_crossing_number_up_to
 from chebknot import diagram
 from chebknot.bridge import canonicalize, stevedore_fraction, torus_fraction, twist_fraction
 from chebknot.contfrac import Fraction, eval_cf, regular_expansion
@@ -178,21 +178,23 @@ def test_a3_keys_are_a_permutation_so_slots_equal_the_sort():
         assert sorted(keys) == list(range(1, b)), b
 
 
-def test_a3_families_are_the_crossing_table_rows():
+@a3_table_check
+def _families_are_the_table_rows(b: int, table: list) -> None:
     # each family is every third slot, its m_t and m_s are arithmetic runs and
     # xy_sign * (-1)^slot is one constant along it
-    for b in range(2, 3000):
-        if b % 3 == 0:
-            continue
-        rows, m = _integer_rows(enumerate_crossings(3, b)), range(3 * b)
-        families = diagram._a3_families(b)
-        assert sorted(first for first, *_ in families) == [0, 1, 2], b
-        for first, c, at_t, at_s in families:
-            _, _, m_t, m_s, xy = zip(*rows[first::3]) if first < b - 1 else [()] * 5
-            assert (m_t, m_s) == (tuple(m[at_t]), tuple(m[at_s])), (b, first)
-            # the slots first, first + 3, ... alternate in parity
-            even = c if first % 2 == 0 else -c
-            assert set(xy[::2]) <= {even} and set(xy[1::2]) <= {-even}, (b, first)
+    rows, m = _integer_rows(table), range(3 * b)
+    families = diagram._a3_families(b)
+    assert sorted(first for first, *_ in families) == [0, 1, 2], b
+    for first, c, at_t, at_s in families:
+        _, _, m_t, m_s, xy = zip(*rows[first::3]) if first < b - 1 else [()] * 5
+        assert (m_t, m_s) == (tuple(m[at_t]), tuple(m[at_s])), (b, first)
+        # the slots first, first + 3, ... alternate in parity
+        even = c if first % 2 == 0 else -c
+        assert set(xy[::2]) <= {even} and set(xy[1::2]) <= {-even}, (b, first)
+
+
+def test_a3_families_are_the_crossing_table_rows(a3_table_sweep):
+    a3_table_sweep(_families_are_the_table_rows)
 
 
 @pytest.mark.parametrize("b", [997, 1000, 2003, 2995, 2999])
@@ -230,31 +232,35 @@ def test_tables_equal_the_reference_first_and_again():
             assert types == {(int, int, int, int, float, float, int)}, (a, b)
 
 
-def test_a3_events_are_the_closed_form_set():
+@a3_table_check
+def _events_are_the_closed_form_set(b: int, rows: list) -> None:
     # the m in 1..3b-1 with 3 not dividing m, other than b and 2b, which
     # diagram._a3_events lists and diagram._a3_next_event steps through from 0
-    for b in range(2, 3000):
-        if b % 3 == 0:
-            continue
-        _, _, m_t, m_s, *_ = zip(*enumerate_crossings(3, b))
-        closed = [m for m in range(1, 3 * b) if m % 3 and m not in (b, 2 * b)]
-        assert sorted(m_t + m_s) == list(diagram._a3_events(b)) == closed, b
-        assert list(map(diagram._a3_next_event, [0, *closed[:-1]], repeat(b))) == closed, b
+    _, _, m_t, m_s, *_ = zip(*rows)
+    closed = [m for m in range(1, 3 * b) if m % 3 and m not in (b, 2 * b)]
+    assert sorted(m_t + m_s) == list(diagram._a3_events(b)) == closed, b
+    assert list(map(diagram._a3_next_event, [0, *closed[:-1]], repeat(b))) == closed, b
 
 
-def test_a3_parameters_equal_the_event_parameters_bit_for_bit():
+def test_a3_events_are_the_closed_form_set(a3_table_sweep):
+    a3_table_sweep(_events_are_the_closed_form_set)
+
+
+@a3_table_check
+def _parameters_are_the_event_parameters(b: int, rows: list) -> None:
     # gauss_sequence's event parameters and enumerate_crossings' t and s,
     # each computed on every call, agree with the reference rule
-    for b in range(2, 3000):
-        if b % 3 == 0:
-            continue
-        _, _, m_t, m_s, t, s, _ = zip(*enumerate_crossings(3, b))
-        by_m = dict(zip(m_t + m_s, t + s))
-        ms, params = _events_of(b)
-        assert ms == tuple(sorted(by_m)), b
-        # no parameter is 0.0 or NaN, so == is equality of bits
-        assert params == tuple(map(by_m.__getitem__, ms)) and 0.0 not in params, b
-        assert params == tuple(parameter_value(m, 3 * b) for m in ms), b
+    _, _, m_t, m_s, t, s, _ = zip(*rows)
+    by_m = dict(zip(m_t + m_s, t + s))
+    ms, params = _events_of(b)
+    assert ms == tuple(sorted(by_m)), b
+    # no parameter is 0.0 or NaN, so == is equality of bits
+    assert params == tuple(map(by_m.__getitem__, ms)) and 0.0 not in params, b
+    assert params == tuple(parameter_value(m, 3 * b) for m in ms), b
+
+
+def test_a3_parameters_equal_the_event_parameters_bit_for_bit(a3_table_sweep):
+    a3_table_sweep(_parameters_are_the_event_parameters)
 
 
 def test_crossing_table_returns_a_new_list_every_call():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_euclid_oracle
+from conftest import a3_table_check, classical_euclid_oracle
 from chebknot.bridge import canonicalize, equivalent, Equivalence
 from chebknot.contfrac import Fraction, eval_cf, fibonacci
 from chebknot.errors import (
@@ -135,22 +135,21 @@ def test_closed_form_crossing_indices_match_geometry():
                 assert (p.k, p.h) == (k_idx, h_idx)
 
 
-def test_closed_form_crossing_indices_are_the_crossing_table_order():
+@a3_table_check
+def _closed_form_indices_are_the_table_order(b: int, rows: list) -> None:
     # A_k, B_k, C_k sit at slots 3k, 3k + 1, 3k + 2; for b = 3n + 2, A_n is
     # last.  Every label below b = 300; beyond, the ends and the middle of
     # each family, whose h runs by one per k.
-    from chebknot.diagram import enumerate_crossings
+    for offset, point in enumerate("ABC"):
+        count = len(rows[offset::3])
+        ks = range(count) if b < 300 else sorted({0, 1, count // 2, count - 2, count - 1})
+        for k in ks:
+            h, k_index, *_ = rows[offset + 3 * k]
+            assert closed_form_crossing_indices(b, point, k) == (k_index, h), (b, point, k)
 
-    for b in range(2, 3000):
-        if b % 3 == 0:
-            continue
-        rows = enumerate_crossings(3, b)
-        for offset, point in enumerate("ABC"):
-            count = len(rows[offset::3])
-            ks = range(count) if b < 300 else sorted({0, 1, count // 2, count - 2, count - 1})
-            for k in ks:
-                h, k_index, *_ = rows[offset + 3 * k]
-                assert closed_form_crossing_indices(b, point, k) == (k_index, h), (b, point, k)
+
+def test_closed_form_crossing_indices_are_the_crossing_table_order(a3_table_sweep):
+    a3_table_sweep(_closed_form_indices_are_the_table_order)
 
 
 @pytest.mark.parametrize(
